@@ -15,7 +15,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .arith import mult_order, order_dividing
+from .arith import cyclic_powers, order_dividing
 from .errors import CapacityError, DomainError
 from .mfunc import exponent_digits, m_via_z
 
@@ -146,8 +146,9 @@ class Algebra:
         self.q = q
         self.n = n
         self.z = z
-        self.nu = 1 if z == 1 else mult_order(q % z, z)
-        self.q_pows = [pow(q, i, z) for i in range(1, self.nu + 1)]
+        powers = cyclic_powers(q, z)
+        self.nu = len(powers)
+        self.q_pows = powers[1:] + powers[:1]  # q^1, ..., q^nu = 1
         self._pw = np.array(self.q_pows, dtype=np.int64)
         if z * self.nu <= table_cap:
             self._bar = np.arange(z, dtype=np.int64)[:, None] * self._pw[None, :] % z
@@ -262,8 +263,10 @@ class Algebra:
                 hi = min(lo + chunk, n_irr)
                 left = irr_rows[lo:hi]
                 js = k - irr_idx[lo:hi]
-                sums = left + self._rows(js)
-                valid = sums.max(axis=1) < z  # all-equal-z impossible for k < z
+                # summed and reduced in one expression, so no block of sums
+                # stays alive while the next step builds its own; all
+                # positions summing to exactly z is impossible for k < z
+                valid = (left + self._rows(js)).max(axis=1) < z
                 if valid.any():
                     cand = lam[js[valid]]
                     pos = int(cand.argmax())
@@ -426,24 +429,6 @@ class Algebra:
 # Witness transport between algebras.
 # ---------------------------------------------------------------------------
 
-def _exponent_permutation(q: int, big_q: int, e: int, n: int) -> list[int]:
-    """pi with q^t = big_q^pi(t) (mod e) for t = 0..n-1; requires the two
-    residues to generate the same subgroup."""
-    position = {}
-    r = 1 % e
-    for s in range(n):
-        position.setdefault(r, s)
-        r = r * big_q % e
-    pi = []
-    r = 1 % e
-    for _ in range(n):
-        if r not in position:
-            raise DomainError("residues do not generate the same subgroup")
-        pi.append(position[r])
-        r = r * q % e
-    return pi
-
-
 def transport_witness(w: Witness, target_q: int) -> Witness:
     """Carry a factorization of a uniform-exponent monomial (x_1...x_n)^a
     over to parameter Q = target_q, provided q and Q generate the same
@@ -461,19 +446,16 @@ def transport_witness(w: Witness, target_q: int) -> Witness:
         raise DomainError("transport needs a uniform-exponent target monomial")
     if not 1 <= a < min(w.q, target_q):
         raise DomainError(f"exponent {a} must be below min(q, Q)")
-    sub_q = set()
-    r = 1 % e
-    for _ in range(n):
-        sub_q.add(r)
-        r = r * w.q % e
-    sub_big = set()
-    r = 1 % e
-    for _ in range(n):
-        sub_big.add(r)
-        r = r * target_q % e
-    if sub_q != sub_big:
+    # q^n = Q^n = 1 bounds both cycles by n; then pi(t) is the exponent
+    # with Q^t = q^pi(t) (mod e).
+    if pow(w.q, n, e) != 1 % e or pow(target_q, n, e) != 1 % e:
         raise DomainError("parameters do not generate the same subgroup mod e")
-    pi = _exponent_permutation(target_q, w.q, e, n)
+    source = cyclic_powers(w.q, e)
+    target = cyclic_powers(target_q, e)
+    if set(source) != set(target):
+        raise DomainError("parameters do not generate the same subgroup mod e")
+    position = {r: s for s, r in enumerate(source)}
+    pi = [position[target[t % len(target)]] for t in range(n)]
     new_vectors = [tuple(vec[pi[t]] for t in range(n)) for vec in w.factor_vectors]
     return verify_witness(target_q, n, e, new_vectors)
 

@@ -1,6 +1,6 @@
 """Exact integer arithmetic: base-q expansions and digit sums, multiplicative
-orders, factorization and the standard arithmetic functions, cyclotomic
-values, and primality predicates.
+orders, cyclic powers and subgroups of the unit group, factorization and the
+standard arithmetic functions, cyclotomic values, and primality predicates.
 
 Everything works on plain Python ints (arbitrary precision) and never touches
 floating point.
@@ -155,6 +155,47 @@ def mult_order(a: int, modulus: int) -> int:
         while order % p == 0 and pow(a, order // p, modulus) == 1:
             order //= p
     return order
+
+
+def cyclic_powers(a: int, modulus: int) -> list[int]:
+    """[1, a, a^2, ...] modulo modulus, up to the first return to 1: the
+    cyclic subgroup generated by a, in exponent order (length ord(a))."""
+    if modulus < 1:
+        raise DomainError(f"modulus must be >= 1, got {modulus}")
+    if gcd(a, modulus) != 1:
+        raise DomainError(f"{a} is not a unit modulo {modulus}")
+    one = 1 % modulus
+    powers = [one]
+    r = a % modulus
+    while r != one:
+        powers.append(r)
+        r = r * a % modulus
+    return powers
+
+
+def cyclic_subgroups(modulus: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(smallest generator, sorted elements) for every cyclic subgroup of
+    (Z/modulus)^x, ordered by (order, generator).
+
+    Units are swept in ascending order; each new subgroup marks all of its
+    generators a^j with gcd(j, ord) = 1, so every unit still unmarked is the
+    smallest generator of a subgroup not seen before.
+    """
+    if modulus < 1:
+        raise DomainError(f"modulus must be >= 1, got {modulus}")
+    marked = bytearray(modulus)
+    groups = []
+    for a in range(modulus):
+        if marked[a] or gcd(a, modulus) != 1:
+            continue
+        powers = cyclic_powers(a, modulus)
+        order = len(powers)
+        for j, r in enumerate(powers):
+            if gcd(j, order) == 1:
+                marked[r] = 1
+        groups.append((a, tuple(sorted(powers))))
+    groups.sort(key=lambda group: (len(group[1]), group[0]))
+    return groups
 
 
 def order_dividing(a: int, modulus: int, n: int) -> int:

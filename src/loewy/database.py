@@ -12,10 +12,9 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import gcd
 
 from .algebra import Algebra, same_table
-from .arith import mult_order
+from .arith import cyclic_subgroups, mult_order
 from .errors import CapacityError, DomainError
 from .invariants import invariant_report, report_difference
 
@@ -85,10 +84,13 @@ class DbRecord:
         return json.dumps(payload, separators=(",", ":"))
 
     @staticmethod
-    def from_json_line(line: str):
-        data = json.loads(line)
-        key = EquivKey(z=data["z"], subgroup=tuple(data["subgroup"]),
-                       q_rep=data["q"])
+    def from_json_line(line: str | bytes):
+        try:
+            data = json.loads(line)
+            key = EquivKey(z=data["z"], subgroup=tuple(data["subgroup"]),
+                           q_rep=data["q"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DomainError(f"malformed record: {exc!r}") from None
         if "error" in data:
             return ErrorRecord(key=key, error=data["error"])
         if tuple(data.keys()) != _FIELDS:
@@ -142,19 +144,8 @@ def subgroup_representatives(z: int) -> list[EquivKey]:
         raise DomainError(f"z must be >= 1, got {z}")
     if z == 1:
         return [EquivKey(z=1, subgroup=(1,), q_rep=2)]
-    groups: dict[frozenset, int] = {}
-    for a in range(1, z):
-        if gcd(a, z) != 1:
-            continue
-        sub = frozenset(pow(a, i, z) for i in range(1, mult_order(a, z) + 1))
-        if sub not in groups or a < groups[sub]:
-            groups[sub] = a
-    keys = []
-    for sub, gen in groups.items():
-        q_rep = z + 1 if gen == 1 else gen
-        keys.append(EquivKey(z=z, subgroup=tuple(sorted(sub)), q_rep=q_rep))
-    keys.sort(key=lambda k: (k.order, k.q_rep))
-    return keys
+    return [EquivKey(z=z, subgroup=sub, q_rep=z + 1 if gen == 1 else gen)
+            for gen, sub in cyclic_subgroups(z)]
 
 
 def compute_record(key: EquivKey) -> DbRecord:
@@ -193,11 +184,9 @@ def compute_or_error(key: EquivKey):
         return ErrorRecord(key=key, error=str(exc))
 
 
-def scan_records(z_min: int, z_max: int, *, jobs: int = 1, skip: int = 0):
-    """Yield records for the range in deterministic order; with jobs > 1 a
-    worker pool computes out of order and the pool's mapper restores the
-    order."""
-    keys = scan_keys(z_min, z_max)[skip:]
+def compute_records(keys, *, jobs: int = 1):
+    """Yield the records of the given keys in order; with jobs > 1 a worker
+    pool computes out of order and the pool's mapper restores the order."""
     if jobs <= 1:
         for key in keys:
             yield compute_or_error(key)
@@ -206,40 +195,66 @@ def scan_records(z_min: int, z_max: int, *, jobs: int = 1, skip: int = 0):
         yield from pool.map(compute_or_error, keys, chunksize=8)
 
 
+def scan_records(z_min: int, z_max: int, *, jobs: int = 1):
+    """Yield records for the range in deterministic order."""
+    return compute_records(scan_keys(z_min, z_max), jobs=jobs)
+
+
+def _resume_point(out_path: str, keys: list[EquivKey]) -> int:
+    """Number of records already in out_path, which must be a prefix of
+    keys.  A final line without a newline is a torn write: it is cut off
+    and recomputed."""
+    try:
+        handle = open(out_path, "rb+")
+    except FileNotFoundError:
+        return 0
+    done = end = 0
+    with handle:
+        for number, line in enumerate(handle, start=1):
+            if done == len(keys):
+                raise DomainError(
+                    f"existing output holds records beyond this scan "
+                    f"(line {number}; the scan ends at z={keys[-1].z})"
+                )
+            if not line.endswith(b"\n"):
+                handle.truncate(end)
+                break
+            rec = _parse_line(line, out_path, number)
+            if rec.key != keys[done]:
+                raise DomainError(
+                    f"existing output is not a prefix of this scan "
+                    f"(record {done}: z={rec.key.z} q={rec.key.q_rep})"
+                )
+            done += 1
+            end += len(line)
+    return done
+
+
 def scan_to_file(z_min: int, z_max: int, out_path: str, *, jobs: int = 1) -> int:
     """Write (or extend) a JSONL scan; an existing file must be a prefix of
     the deterministic key order and is never recomputed.  Returns the number
     of records appended."""
     keys = scan_keys(z_min, z_max)
-    done = 0
-    try:
-        with open(out_path, "r", encoding="utf-8") as handle:
-            for line, key in zip(handle, keys):
-                rec = DbRecord.from_json_line(line)
-                if rec.key != key:
-                    raise DomainError(
-                        f"existing output is not a prefix of this scan "
-                        f"(record {done}: z={rec.key.z} q={rec.key.q_rep})"
-                    )
-                done += 1
-    except FileNotFoundError:
-        pass
+    done = _resume_point(out_path, keys)
     appended = 0
     with open(out_path, "a", encoding="utf-8") as handle:
-        for record in scan_records(z_min, z_max, jobs=jobs, skip=done):
+        for record in compute_records(keys[done:], jobs=jobs):
             handle.write(record.to_json_line() + "\n")
             appended += 1
     return appended
 
 
+def _parse_line(line: bytes, path: str, number: int):
+    try:
+        return DbRecord.from_json_line(line)
+    except DomainError as exc:
+        raise DomainError(f"{path} line {number}: {exc}") from None
+
+
 def load_records(path: str) -> list[DbRecord]:
-    records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(DbRecord.from_json_line(line))
-    return records
+    with open(path, "rb") as handle:
+        return [_parse_line(line, path, number)
+                for number, line in enumerate(handle, start=1) if line.strip()]
 
 
 def write_csv(records, path: str) -> None:

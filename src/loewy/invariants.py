@@ -10,7 +10,6 @@ oracle certifies that reduction for small dimensions.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +17,6 @@ import numpy as np
 from .algebra import Algebra
 from .arith import is_prime
 from .errors import CapacityError, DomainError
-
-log = logging.getLogger(__name__)
 
 PAIR_COUNT_MAX_DIM = 24
 
@@ -43,6 +40,22 @@ class FrobeniusMap:
     def defined_on_radical(self) -> list[int]:
         return [k for k in range(1, len(self.image)) if self.image[k] is not None]
 
+    def image_set(self) -> frozenset[int]:
+        """Index set spanning {x^p : x in J} (dim = its cardinality)."""
+        return frozenset(v for v in self.image[1:] if v is not None)
+
+    def killed(self, k_max: int) -> list[frozenset[int]]:
+        """V_k for k = 1..k_max: the radical basis indices whose k-fold
+        composed p-th power vanishes (dim of {x in J : x^(p^k) = 0})."""
+        radical = frozenset(range(1, len(self.image)))
+        alive = {k: k for k in radical}  # index -> its current iterate
+        out = []
+        for _ in range(k_max):
+            alive = {k: self.image[c] for k, c in alive.items()
+                     if self.image[c] is not None}
+            out.append(radical - alive.keys())
+        return out
+
 
 def frobenius(alg: Algebra, p: int) -> FrobeniusMap:
     """The p-th power map on basis elements, decided by repeated products."""
@@ -63,28 +76,15 @@ def frobenius(alg: Algebra, p: int) -> FrobeniusMap:
 
 
 def frobenius_kernel_dims(alg: Algebra, p: int, k_max: int) -> list[int]:
-    """dim of {x in J : x^(p^k) = 0} for k = 1..k_max: the count of radical
-    basis indices killed by the k-fold composition of the p-power map."""
+    """dim of {x in J : x^(p^k) = 0} for k = 1..k_max."""
     if k_max < 1:
         raise DomainError(f"k_max must be >= 1, got {k_max}")
-    frob = frobenius(alg, p)
-    dims = []
-    alive = list(range(1, alg.z + 1))
-    for _ in range(k_max):
-        alive = [frob.image[k] for k in alive if frob.image[k] is not None]
-        alive = [k for k in alive if k >= 1]
-        dims.append(alg.z - len(alive))
-    if any(b < a for a, b in zip(dims, dims[1:])):
-        raise AssertionError("Frobenius kernel dims must be nondecreasing")
-    return dims
+    return [len(vk) for vk in frobenius(alg, p).killed(k_max)]
 
 
 def frobenius_image_set(alg: Algebra, p: int) -> frozenset[int]:
     """Index set spanning {x^p : x in J} (dim = its cardinality)."""
-    frob = frobenius(alg, p)
-    return frozenset(
-        frob.image[k] for k in range(1, alg.z + 1) if frob.image[k] is not None
-    )
+    return frobenius(alg, p).image_set()
 
 
 def radical_power(alg: Algebra, i: int) -> frozenset[int]:
@@ -127,13 +127,11 @@ def socle_series(alg: Algebra) -> list[frozenset[int]]:
 
 
 def duality_check(alg: Algebra, series) -> None:
-    # Symmetric-algebra duality dim S_j + dim J^j = z + 1; downgraded to a
-    # logged warning if a parameter set ever violates it.
+    """Symmetric-algebra duality: dim S_j + dim J^j = z + 1 for every j."""
     for j, s in enumerate(series, start=1):
         if len(s) + len(radical_power(alg, j)) != alg.z + 1:
-            log.warning(
-                "socle duality violated at q=%d n=%d z=%d j=%d",
-                alg.q, alg.n, alg.z, j,
+            raise AssertionError(
+                f"socle duality violated at q={alg.q} n={alg.n} z={alg.z} j={j}"
             )
 
 
@@ -166,32 +164,12 @@ def ideal_dims_profile(alg: Algebra, *, primes=(2, 3)) -> dict[str, int]:
             dims[f"dim_J^{i}*S_{j}"] = len(set_product(alg, ji, sj))
     everything = frozenset(range(alg.z + 1))
     for p in primes:
-        kernel_dims = frobenius_kernel_dims(alg, p, k_max=max(1, ll))
-        for k, d in enumerate(kernel_dims, start=1):
-            dims[f"dim_V_{p},{k}"] = d
-        image = frobenius_image_set(alg, p)
-        dims[f"dim_U_p{p}"] = len(image)
-        for k in range(1, max(1, ll) + 1):
-            vk = frozenset(
-                j for j in range(1, alg.z + 1)
-                if _iterated_power_dies(alg, p, k, j)
-            )
+        frob = frobenius(alg, p)
+        dims[f"dim_U_p{p}"] = len(frob.image_set())
+        for k, vk in enumerate(frob.killed(max(1, ll)), start=1):
+            dims[f"dim_V_{p},{k}"] = len(vk)
             dims[f"dim_V_{p},{k}*A"] = len(vk | set_product(alg, vk, everything))
     return dims
-
-
-def _iterated_power_dies(alg: Algebra, p: int, k: int, j: int) -> bool:
-    cur: int | None = j
-    for _ in range(k):
-        nxt: int | None = cur
-        for _ in range(p - 1):
-            nxt = alg.product_index(nxt, cur)
-            if nxt is None:
-                break
-        cur = nxt
-        if cur is None:
-            return True
-    return False
 
 
 def invariant_report(alg: Algebra) -> str:

@@ -17,6 +17,8 @@ from math import gcd, lcm
 import numpy as np
 
 from .arith import (
+    cyclic_powers,
+    cyclic_subgroups,
     digit_sum,
     divisors,
     euler_phi,
@@ -76,23 +78,6 @@ def _require_coprime(q: int, e: int) -> None:
         raise DomainError(f"q and e must be coprime, got q={q}, e={e}")
 
 
-def _powers_mod(q: int, e: int) -> tuple[list[int], list[int]]:
-    """Distinct residues of q^i mod e with the smallest exponent realizing
-    each, in exponent order."""
-    residues = []
-    exps = []
-    seen = set()
-    r = 1 % e
-    i = 0
-    while r not in seen:
-        seen.add(r)
-        residues.append(r)
-        exps.append(i)
-        r = r * q % e
-        i += 1
-    return residues, exps
-
-
 def m_bfs(q: int, e: int) -> MResult:
     """Layered reachability on Z/e: layer t holds all residues expressible
     as a sum of t powers of q; m is the first layer containing 0.  A witness
@@ -105,17 +90,17 @@ def m_bfs(q: int, e: int) -> MResult:
         )
     if e == 1:
         return MResult(m=1, method="bfs", witness=(0,))
-    powers, exps = _powers_mod(q, e)
+    powers = cyclic_powers(q, e)
     if e < _BFS_NUMPY_MIN:
-        return _m_bfs_small(q, e, powers, exps)
-    return _m_bfs_numpy(q, e, powers, exps)
+        return _m_bfs_small(q, e, powers)
+    return _m_bfs_numpy(q, e, powers)
 
 
-def _m_bfs_small(q, e, powers, exps):
+def _m_bfs_small(q, e, powers):
     dist = {}
     parent = {}
     frontier = []
-    for r, i in zip(powers, exps):
+    for i, r in enumerate(powers):
         if r not in dist:
             dist[r] = 1
             parent[r] = i
@@ -127,7 +112,7 @@ def _m_bfs_small(q, e, powers, exps):
             raise AssertionError(f"BFS did not terminate for q={q}, e={e}")
         new = []
         for r in sorted(frontier):
-            for s, i in zip(powers, exps):
+            for i, s in enumerate(powers):
                 v = (r + s) % e
                 if v not in dist:
                     dist[v] = t
@@ -140,13 +125,13 @@ def _m_bfs_small(q, e, powers, exps):
     for _ in range(m):
         i = parent[r]
         out.append(i)
-        r = (r - pow(q, i, e)) % e
+        r = (r - powers[i]) % e
     return MResult(m=m, method="bfs", witness=tuple(sorted(out)))
 
 
-def _m_bfs_numpy(q, e, powers, exps):
+def _m_bfs_numpy(q, e, powers):
     s1 = np.array(powers, dtype=np.int64)
-    s1_exp = np.array(exps, dtype=np.int64)
+    s1_exp = np.arange(len(powers), dtype=np.int64)
     dist = np.full(e, -1, dtype=np.int32)
     par = np.full(e, -1, dtype=np.int32)
     dist[s1] = 1
@@ -184,7 +169,7 @@ def _m_bfs_numpy(q, e, powers, exps):
     for _ in range(m):
         i = int(par[r])
         out.append(i)
-        r = (r - pow(q, i, e)) % e
+        r = (r - powers[i]) % e
     return MResult(m=m, method="bfs", witness=tuple(sorted(out)))
 
 
@@ -225,24 +210,25 @@ def m_via_z(q: int, n: int, z: int) -> MResult:
         raise DomainError(f"z must be >= 1, got {z}")
     if pow(q, n, z) != 1 % z:
         raise DomainError(f"q^n is not 1 modulo z (q={q}, n={n}, z={z})")
-    if z == 1:
-        return MResult(m=n * (q - 1), method="residue_formula", k_min=1)
-    nu = mult_order(q % z, z)
-    pw = np.array([pow(q, i, z) for i in range(1, nu + 1)], dtype=np.int64)
-    best = None
-    best_k = None
-    rows = max(1, (1 << 22) // nu)
-    for lo in range(1, z, rows):
-        ks = np.arange(lo, min(lo + rows, z), dtype=np.int64)
-        sums = (ks[:, None] * pw[None, :] % z).sum(axis=1)
-        idx = int(sums.argmin())
-        if best is None or sums[idx] < best:
-            best = int(sums[idx])
-            best_k = int(ks[idx])
-    total = (q - 1) * (n // nu) * best
-    m, rem = divmod(total, z)
-    if rem:
-        raise AssertionError("digit-sum formula did not divide evenly")
+    if z == 1:  # e = q^n - 1 itself, all digits q - 1
+        m, best_k = n * (q - 1), 1
+    else:
+        pw = np.array(cyclic_powers(q, z), dtype=np.int64)
+        nu = len(pw)
+        best = None
+        best_k = None
+        rows = max(1, (1 << 22) // nu)
+        for lo in range(1, z, rows):
+            ks = np.arange(lo, min(lo + rows, z), dtype=np.int64)
+            sums = (ks[:, None] * pw[None, :] % z).sum(axis=1)
+            idx = int(sums.argmin())
+            if best is None or sums[idx] < best:
+                best = int(sums[idx])
+                best_k = int(ks[idx])
+        total = (q - 1) * (n // nu) * best
+        m, rem = divmod(total, z)
+        if rem:
+            raise AssertionError("digit-sum formula did not divide evenly")
     digits = exponent_digits(q, n, z, best_k)
     witness = tuple(sorted(i for i, d in enumerate(digits) for _ in range(d)))
     return MResult(m=m, method="residue_formula", witness=witness, k_min=best_k)
@@ -585,18 +571,10 @@ def small_e_candidates(n: int, m_max: int, *, keep_unfiltered: bool = False):
 
 
 def _m_achievable(e: int, n: int, m: int) -> bool:
-    """Is there a unit q of order n modulo e with m(q, e) = m?"""
-    seen = set()
-    for q in range(2, e):
-        if gcd(q, e) != 1 or mult_order(q, e) != n:
-            continue
-        sub = frozenset(pow(q, i, e) for i in range(n))
-        if sub in seen:
-            continue
-        seen.add(sub)
-        if m_bfs(q, e).m == m:
-            return True
-    return False
+    """Is there a unit q of order n modulo e with m(q, e) = m?  (m is
+    constant on cyclic subgroups, so one generator of each suffices.)"""
+    return any(len(sub) == n and m_bfs(q, e).m == m
+               for q, sub in cyclic_subgroups(e))
 
 
 # ---------------------------------------------------------------------------
@@ -638,18 +616,12 @@ def m_groups_by_residue(e: int) -> dict[int, list[int]]:
 def m_groups_by_generator(e: int) -> dict[int, list[int]]:
     """m -> smallest generators of the nontrivial cyclic subgroups of
     (Z/e)^x, grouped by the (subgroup-invariant) value of m."""
-    reps: dict[frozenset, int] = {}
-    for q in range(2, e):
-        if gcd(q, e) != 1 or q % e == 1:
-            continue
-        order = mult_order(q, e)
-        sub = frozenset(pow(q, i, e) for i in range(order))
-        gen = reps.get(sub)
-        if gen is None or q < gen:
-            reps[sub] = q
     groups: dict[int, list[int]] = {}
-    for q in reps.values():
-        groups.setdefault(m_value(q, e).m, []).append(q)
+    if e < 1:
+        return groups
+    for q, sub in cyclic_subgroups(e):
+        if len(sub) > 1:
+            groups.setdefault(m_value(q, e).m, []).append(q)
     return {m: sorted(v) for m, v in sorted(groups.items())}
 
 
@@ -675,16 +647,7 @@ def m_by_subgroup(e: int) -> dict[int, int]:
     out = {e + 1: e if e > 1 else 1}
     if e <= 2:
         return out
-    reps: dict[frozenset, int] = {}
-    for q in range(2, e):
-        if gcd(q, e) != 1:
-            continue
-        order = mult_order(q, e)
-        sub = frozenset(pow(q, i, e) for i in range(order))
-        if sub not in reps or q < reps[sub]:
-            reps[sub] = q
-    for sub, q in reps.items():
-        if sub == frozenset({1}):
-            continue
-        out[q] = m_bfs(q, e).m
+    for q, sub in sorted(cyclic_subgroups(e)):
+        if len(sub) > 1:
+            out[q] = m_bfs(q, e).m
     return out

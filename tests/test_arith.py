@@ -1,8 +1,12 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loewy.arith import (
+    cyclic_powers,
+    cyclic_subgroups,
     cyclotomic_value,
     digit_sum,
     digit_value,
@@ -84,6 +88,42 @@ def test_order_dividing_matches_mult_order():
     assert pow(9, order_dividing(9, big, 15), big) == 1
     with pytest.raises(DomainError):
         order_dividing(2, 11, 7)  # ord_11(2) = 10 does not divide 7
+
+
+def test_cyclic_powers():
+    assert cyclic_powers(2, 7) == [1, 2, 4]
+    assert cyclic_powers(3, 70) == [pow(3, i, 70) for i in range(12)]
+    assert cyclic_powers(1, 10) == [1]
+    assert cyclic_powers(9, 1) == [0]
+    with pytest.raises(DomainError):
+        cyclic_powers(6, 9)  # a non-unit never returns to 1
+
+
+def _subgroups_by_frozenset(modulus):
+    """The per-unit definition: one frozenset of powers per unit, keeping the
+    smallest generator of each distinct set."""
+    groups = {}
+    for a in range(1, modulus):
+        if gcd(a, modulus) == 1:
+            sub = frozenset(pow(a, i, modulus)
+                            for i in range(1, mult_order(a, modulus) + 1))
+            groups.setdefault(sub, a)
+    return sorted(((a, tuple(sorted(sub))) for sub, a in groups.items()),
+                  key=lambda group: (len(group[1]), group[0]))
+
+
+def test_cyclic_subgroups_match_per_unit_sets():
+    for modulus in [*range(2, 401), 5040, 10000]:
+        assert cyclic_subgroups(modulus) == _subgroups_by_frozenset(modulus), modulus
+
+
+def test_cyclic_subgroups_of_a_large_prime():
+    groups = cyclic_subgroups(9973)
+    assert len(groups) == len(divisors(9972)) == 18
+    for gen, sub in groups:
+        assert len(sub) == mult_order(gen, 9973)
+        assert sorted(gen * x % 9973 for x in sub) == list(sub)  # closed
+    assert cyclic_subgroups(1) == [(0, (0,))]
 
 
 def test_arithmetic_functions():

@@ -48,6 +48,15 @@ class TestM:
         assert code == 0
         assert "witness exponents:" in out
 
+    def test_witness_at_z1(self, capsys):
+        args = ["m", "--q", "2", "--n", "1", "--z", "1", "--witness"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert "witness exponents: 0\n" in out
+        code, out, _ = run_cli(args + ["--json"], capsys)
+        assert code == 0
+        assert json.loads(out.splitlines()[-1])["witness"] == [0]
+
     def test_inconsistent_e_z(self, capsys):
         code, _, err = run_cli(["m", "--q", "3", "--n", "12", "--z", "70",
                                 "--e", "7593"], capsys)
@@ -135,6 +144,17 @@ class TestScanPipeline:
         code, out, _ = run_cli(["verify", "--in", str(db), "--sample", "12"], capsys)
         assert code == 0
         assert "0 mismatches" in out
+
+    def test_malformed_file_exits_1(self, tmp_path, capsys):
+        db = tmp_path / "db.jsonl"
+        run_cli(["scan", "--zmin", "2", "--zmax", "6", "--out", str(db)], capsys)
+        lines = db.read_text().splitlines(keepends=True)
+        db.write_text("".join(lines[:2]) + lines[2][:30] + "\n" + "".join(lines[3:]))
+        for args in (["stats", "--in", str(db)],
+                     ["screen", "--in", str(db), "--z", "5"]):
+            code, _, err = run_cli(args, capsys)
+            assert code == 1
+            assert "line 3" in err and "Traceback" not in err
 
     def test_verify_detects_corruption(self, tmp_path, capsys):
         db = tmp_path / "db.jsonl"

@@ -82,6 +82,32 @@ class TestScan:
         assert appended == len(lines) - 7
         assert part.read_bytes() == full.read_bytes()
 
+    def test_resume_truncates_torn_line(self, tmp_path):
+        full, torn = tmp_path / "full.jsonl", tmp_path / "torn.jsonl"
+        scan_to_file(2, 20, str(full))
+        torn.write_bytes(full.read_bytes()[:-20])
+        assert scan_to_file(2, 20, str(torn)) == 1
+        assert torn.read_bytes() == full.read_bytes()
+
+    def test_malformed_line_names_its_number(self, tmp_path):
+        out = tmp_path / "out.jsonl"
+        scan_to_file(2, 9, str(out))
+        lines = out.read_text().splitlines(keepends=True)
+        lines[4] = "{not json\n"
+        out.write_text("".join(lines))
+        for action in (lambda: scan_to_file(2, 9, str(out)),
+                       lambda: load_records(str(out))):
+            with pytest.raises(DomainError, match="line 5"):
+                action()
+
+    def test_resume_rejects_longer_file(self, tmp_path):
+        out = tmp_path / "out.jsonl"
+        scan_to_file(2, 12, str(out))
+        before = out.read_bytes()
+        with pytest.raises(DomainError, match="beyond"):
+            scan_to_file(2, 5, str(out))
+        assert out.read_bytes() == before
+
     def test_resume_rejects_foreign_prefix(self, tmp_path):
         out = tmp_path / "out.jsonl"
         scan_to_file(5, 9, str(out))

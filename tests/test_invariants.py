@@ -6,6 +6,7 @@ from loewy.database import subgroup_representatives
 from loewy.errors import CapacityError, DomainError
 from loewy.invariants import (
     DenseOracle,
+    duality_check,
     frobenius,
     frobenius_image_set,
     frobenius_kernel_dims,
@@ -61,6 +62,13 @@ class TestSocle:
             series = socle_series(alg)
             for j, members in enumerate(series, start=1):
                 assert len(members) + len(radical_power(alg, j)) == alg.z + 1
+
+    def test_forged_series_violates_duality(self):
+        alg = Algebra(3, 4, 40)
+        forged = socle_series(alg)
+        forged[0] = forged[0] | {1}
+        with pytest.raises(AssertionError, match="socle duality"):
+            duality_check(alg, forged)
 
 
 class TestIdealDims:
