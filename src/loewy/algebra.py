@@ -21,7 +21,7 @@ from .mfunc import exponent_digits, m_via_z
 
 # Residue tables above this many cells are not materialized; rows are
 # recomputed on demand (same results, ~2x slower DP).
-DEFAULT_TABLE_CAP = 1 << 25
+TABLE_CAP = 1 << 25
 _CHUNK_CELLS = 1 << 22
 
 
@@ -134,7 +134,7 @@ class Algebra:
     """A[q, n, z]: dimension z + 1, constructed and multiplied via residues
     modulo z."""
 
-    def __init__(self, q: int, n: int, z: int, *, table_cap: int = DEFAULT_TABLE_CAP):
+    def __init__(self, q: int, n: int, z: int):
         if q < 2:
             raise DomainError(f"q must be >= 2, got {q}")
         if n < 1:
@@ -150,7 +150,7 @@ class Algebra:
         self.nu = len(powers)
         self.q_pows = powers[1:] + powers[:1]  # q^1, ..., q^nu = 1
         self._pw = np.array(self.q_pows, dtype=np.int64)
-        if z * self.nu <= table_cap:
+        if z * self.nu <= TABLE_CAP:
             self._bar = np.arange(z, dtype=np.int64)[:, None] * self._pw[None, :] % z
         else:
             self._bar = None

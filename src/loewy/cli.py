@@ -58,17 +58,18 @@ def cmd_m(args) -> int:
     else:
         raise DomainError("provide --e, or --z together with --n")
     print(f"m = {result.m}")
+    witness = result.witness
+    if args.witness and witness is None:
+        witness = mfunc.m_bfs(q, e).witness
     if args.json:
         payload = {"m": result.m, "method": result.method}
         if result.rule_id:
             payload["rule"] = result.rule_id
-        if args.witness and result.witness:
-            payload["witness"] = list(result.witness)
+        if args.witness:
+            payload["witness"] = list(witness)
         print(json.dumps(payload, separators=(",", ":")))
     elif args.witness:
-        if result.witness is None:
-            result = mfunc.m_bfs(q, e)
-        print("witness exponents:", " ".join(str(i) for i in result.witness))
+        print("witness exponents:", " ".join(str(i) for i in witness))
     return 0
 
 

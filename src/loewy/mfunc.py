@@ -1,7 +1,7 @@
 """The function m(q, e): the least number of powers of q whose sum is
 divisible by e.
 
-Three independent general algorithms are provided (set-layering BFS on Z/e,
+Three independent general algorithms are provided (bitset layer BFS on Z/e,
 digit-sum scan over multiples of e, and the residue-sum formula working
 entirely modulo z), plus a catalogue of closed-form fast paths and the
 classification of the pairs with m >= e/3.  The general algorithms serve as
@@ -31,7 +31,6 @@ from .arith import (
 from .errors import CapacityError, DomainError
 
 BFS_CAPACITY = 1 << 31
-_BFS_NUMPY_MIN = 4096  # below this a plain dict BFS is faster
 
 
 @dataclass(frozen=True)
@@ -69,19 +68,24 @@ _LARGE_M_TABLE = {
 }
 
 
+def _require_positive(name: str, value: int) -> None:
+    if value < 1:
+        raise DomainError(f"{name} must be >= 1, got {value}")
+
+
 def _require_coprime(q: int, e: int) -> None:
-    if e < 1:
-        raise DomainError(f"e must be >= 1, got {e}")
-    if q < 1:
-        raise DomainError(f"q must be >= 1, got {q}")
+    _require_positive("e", e)
+    _require_positive("q", q)
     if gcd(q, e) != 1:
         raise DomainError(f"q and e must be coprime, got q={q}, e={e}")
 
 
 def m_bfs(q: int, e: int) -> MResult:
-    """Layered reachability on Z/e: layer t holds all residues expressible
-    as a sum of t powers of q; m is the first layer containing 0.  A witness
-    is reconstructed from per-residue parent pointers."""
+    """Breadth-first layer search on Z/e.  Layer t, the residues first
+    reached by a sum of t powers of q, is an e-bit integer grown by OR-ing
+    the previous layer rotated by each power; m is the layer that reaches 0.
+    Every residue's layer goes into one int32 array, and the witness walks
+    back from 0, each step to the smallest residue of the layer before."""
     _require_coprime(q, e)
     if e > BFS_CAPACITY:
         raise CapacityError(
@@ -91,86 +95,34 @@ def m_bfs(q: int, e: int) -> MResult:
     if e == 1:
         return MResult(m=1, method="bfs", witness=(0,))
     powers = cyclic_powers(q, e)
-    if e < _BFS_NUMPY_MIN:
-        return _m_bfs_small(q, e, powers)
-    return _m_bfs_numpy(q, e, powers)
-
-
-def _m_bfs_small(q, e, powers):
-    dist = {}
-    parent = {}
-    frontier = []
-    for i, r in enumerate(powers):
-        if r not in dist:
-            dist[r] = 1
-            parent[r] = i
-            frontier.append(r)
+    dist = np.zeros(e, dtype=np.int32)  # 0: not reached yet
+    unseen = (1 << e) - 1
+    layer = sum(1 << s for s in powers)
     t = 1
-    while 0 not in dist:
-        t += 1
-        if t > e:
-            raise AssertionError(f"BFS did not terminate for q={q}, e={e}")
-        new = []
-        for r in sorted(frontier):
-            for i, s in enumerate(powers):
-                v = (r + s) % e
-                if v not in dist:
-                    dist[v] = t
-                    parent[v] = i
-                    new.append(v)
-        frontier = new
-    m = dist[0]
-    out = []
-    r = 0
-    for _ in range(m):
-        i = parent[r]
-        out.append(i)
-        r = (r - powers[i]) % e
-    return MResult(m=m, method="bfs", witness=tuple(sorted(out)))
-
-
-def _m_bfs_numpy(q, e, powers):
-    s1 = np.array(powers, dtype=np.int64)
-    s1_exp = np.arange(len(powers), dtype=np.int64)
-    dist = np.full(e, -1, dtype=np.int32)
-    par = np.full(e, -1, dtype=np.int32)
-    dist[s1] = 1
-    par[s1] = s1_exp
-    frontier = np.unique(s1)
-    t = 1
-    chunk = max(1, (1 << 22) // len(powers))
-    while dist[0] < 0:
-        t += 1
-        if t > e:
-            raise AssertionError(f"BFS did not terminate for q={q}, e={e}")
-        new_parts = []
-        for lo in range(0, len(frontier), chunk):
-            block = frontier[lo:lo + chunk]
-            cand = (block[:, None] + s1[None, :]) % e
-            flat = cand.ravel()
-            fresh = dist[flat] < 0
-            if not fresh.any():
-                continue
-            flat = flat[fresh]
-            pidx = np.broadcast_to(s1_exp, cand.shape).ravel()[fresh]
-            uniq, first = np.unique(flat, return_index=True)
-            still = dist[uniq] < 0  # earlier chunks may have claimed some
-            uniq = uniq[still]
-            first = first[still]
-            dist[uniq] = t
-            par[uniq] = pidx[first]
-            new_parts.append(uniq)
-        if not new_parts:
+    while True:
+        raw = np.frombuffer(layer.to_bytes((e + 7) // 8, "little"), dtype=np.uint8)
+        dist[np.unpackbits(raw, count=e, bitorder="little").view(bool)] = t
+        unseen ^= layer
+        if not unseen & 1:
+            break
+        grown = 0
+        for s in powers:
+            grown |= (layer << s) | (layer >> (e - s))
+        layer = grown & unseen
+        if not layer:
             raise AssertionError(f"BFS stalled before reaching 0 (q={q}, e={e})")
-        frontier = np.unique(np.concatenate(new_parts))
-    m = int(dist[0])
+        t += 1
+    pw = np.array(powers, dtype=np.int64)
     out = []
-    r = 0
-    for _ in range(m):
-        i = int(par[r])
+    v = 0
+    for step in range(t - 1, 0, -1):  # v's predecessor lies in layer step
+        prev = (v - pw) % e
+        prev[dist[prev] != step] = e
+        i = int(prev.argmin())
         out.append(i)
-        r = (r - powers[i]) % e
-    return MResult(m=m, method="bfs", witness=tuple(sorted(out)))
+        v = int(prev[i])
+    out.append(powers.index(v))
+    return MResult(m=t, method="bfs", witness=tuple(sorted(out)))
 
 
 def m_digit_scan(q: int, n: int, e: int) -> MResult:
@@ -583,6 +535,9 @@ def _m_achievable(e: int, n: int, m: int) -> bool:
 
 def m_grid(q_range, e_range) -> dict[tuple[int, int], int]:
     """m(q, e) over a rectangle, only where gcd(q, e) = 1."""
+    q_range, e_range = list(q_range), list(e_range)
+    _require_positive("q", min(q_range, default=1))
+    _require_positive("e", min(e_range, default=1))
     grid = {}
     for q in q_range:
         for e in e_range:
@@ -606,6 +561,7 @@ def render_m_grid_csv(q_range, e_range) -> str:
 
 def m_groups_by_residue(e: int) -> dict[int, list[int]]:
     """m -> all residues q != 1 modulo e with that value, ascending."""
+    _require_positive("e", e)
     groups: dict[int, list[int]] = {}
     for q in range(2, e):
         if q % e != 1 and gcd(q, e) == 1:
@@ -616,9 +572,8 @@ def m_groups_by_residue(e: int) -> dict[int, list[int]]:
 def m_groups_by_generator(e: int) -> dict[int, list[int]]:
     """m -> smallest generators of the nontrivial cyclic subgroups of
     (Z/e)^x, grouped by the (subgroup-invariant) value of m."""
+    _require_positive("e", e)
     groups: dict[int, list[int]] = {}
-    if e < 1:
-        return groups
     for q, sub in cyclic_subgroups(e):
         if len(sub) > 1:
             groups.setdefault(m_value(q, e).m, []).append(q)

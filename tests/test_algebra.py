@@ -1,14 +1,19 @@
+import numpy as np
 import pytest
 
 from conftest import exact_exponent_vector
+from loewy import algebra
 from loewy.algebra import (
     Algebra,
     concat_witness,
     same_table,
     shift_witness,
     transport_witness,
+    validity_table,
     verify_witness,
 )
+from loewy.arith import mult_order
+from loewy.database import subgroup_representatives
 from loewy.errors import DomainError
 
 
@@ -265,3 +270,25 @@ class TestSameTable:
     def test_rejects_mismatched_dimension(self):
         with pytest.raises(DomainError):
             same_table(Algebra(2, 4, 5), Algebra(2, 4, 15))
+
+
+class TestRowsOnDemand:
+    """Above TABLE_CAP cells the residue rows are computed on demand; every
+    result must equal the tabled algebra's."""
+
+    CASES = [(3, 12, 70), (2, 3, 7), (29, 6, 117)] + [
+        (key.q_rep, mult_order(key.q_rep % 97, 97), 97)
+        for key in subgroup_representatives(97)]
+
+    @pytest.mark.parametrize("q,n,z", CASES)
+    def test_matches_table(self, q, n, z, monkeypatch):
+        tabled = Algebra(q, n, z)
+        monkeypatch.setattr(algebra, "TABLE_CAP", 0)
+        on_demand = Algebra(q, n, z)
+        assert tabled._bar is not None and on_demand._bar is None
+        want, got = tabled.loewy_profile(), on_demand.loewy_profile()
+        assert np.array_equal(got.lam, want.lam)
+        assert np.array_equal(got.back_pointer, want.back_pointer)
+        assert on_demand.degree_histogram() == tabled.degree_histogram()
+        assert np.array_equal(validity_table(on_demand), validity_table(tabled))
+        assert len(on_demand.witness(z)) == len(tabled.witness(z))

@@ -57,6 +57,17 @@ class TestM:
         assert code == 0
         assert json.loads(out.splitlines()[-1])["witness"] == [0]
 
+    def test_witness_json_with_closed_form(self, capsys):
+        args = ["m", "--q", "2", "--e", "7", "--witness"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert out.splitlines()[1:] == ["m = 3", "witness exponents: 0 1 2"]
+        code, out, _ = run_cli(args + ["--json"], capsys)
+        assert code == 0
+        payload = json.loads(out.splitlines()[-1])
+        assert payload == {"m": 3, "method": "closed_form",
+                           "rule": "pierpont_power", "witness": [0, 1, 2]}
+
     def test_inconsistent_e_z(self, capsys):
         code, _, err = run_cli(["m", "--q", "3", "--n", "12", "--z", "70",
                                 "--e", "7593"], capsys)
@@ -76,6 +87,15 @@ class TestMtable:
                               "--mode", "generators", "--out", str(out_file)], capsys)
         assert code == 0
         assert out_file.read_text().startswith("61; 2: {2, 3, 4, 8, 11, 14, 21, 60}")
+
+    @pytest.mark.parametrize("mode", ["grid", "residues", "generators"])
+    @pytest.mark.parametrize("emin,emax", [(0, 1), (-3, -1)])
+    def test_nonpositive_e_exits_1(self, mode, emin, emax, capsys):
+        code, out, err = run_cli(["mtable", "--qmin", "2", "--emin", str(emin),
+                                  "--emax", str(emax), "--mode", mode], capsys)
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out.splitlines()[1:] == []
 
 
 class TestAlgebra:

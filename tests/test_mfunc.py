@@ -1,5 +1,8 @@
+from math import gcd
+
 import pytest
 
+from loewy.arith import cyclic_powers
 from loewy.errors import CapacityError, DomainError
 from loewy.mfunc import (
     LargeMCase,
@@ -25,6 +28,55 @@ def check_witness(result, q, e):
     assert sum(pow(q, i, e) for i in result.witness) % e == 0
 
 
+def dict_bfs(q, e):
+    """Reference BFS over Z/e with a dict per residue: each residue's parent
+    is the first (r, i) found, over the previous layer in ascending r and
+    the powers q^i in ascending i."""
+    powers = cyclic_powers(q, e)
+    dist = {}
+    parent = {}
+    frontier = []
+    for i, r in enumerate(powers):
+        if r not in dist:
+            dist[r] = 1
+            parent[r] = i
+            frontier.append(r)
+    t = 1
+    while 0 not in dist:
+        t += 1
+        new = []
+        for r in sorted(frontier):
+            for i, s in enumerate(powers):
+                v = (r + s) % e
+                if v not in dist:
+                    dist[v] = t
+                    parent[v] = i
+                    new.append(v)
+        frontier = new
+    out = []
+    r = 0
+    for _ in range(dist[0]):
+        i = parent[r]
+        out.append(i)
+        r = (r - powers[i]) % e
+    return dist[0], tuple(sorted(out))
+
+
+# (q, e, m, witness) recorded from the former numpy BFS, which served e >= 4096.
+BFS_4097_4099 = [
+    (2, 4097, 2, (0, 12)), (3, 4097, 3, (51, 80, 223)), (4, 4097, 2, (0, 6)),
+    (5, 4097, 4, (15, 44, 47, 72)), (6, 4097, 4, (8, 39, 49, 58)),
+    (7, 4097, 2, (0, 120)), (8, 4097, 2, (0, 4)), (9, 4097, 4, (1, 40, 83, 97)),
+    (10, 4097, 3, (0, 50, 160)), (11, 4097, 2, (0, 24)),
+    (5, 4098, 2, (0, 341)), (7, 4098, 6, (0, 0, 0, 0, 0, 166)),
+    (11, 4098, 2, (0, 341)),
+    (2, 4099, 2, (0, 2049)), (3, 4099, 2, (0, 683)), (4, 4099, 3, (0, 0, 1025)),
+    (5, 4099, 3, (0, 0, 532)), (6, 4099, 3, (0, 0, 1261)), (7, 4099, 2, (0, 683)),
+    (8, 4099, 2, (0, 683)), (9, 4099, 3, (55, 342, 389)),
+    (10, 4099, 2, (0, 2049)), (11, 4099, 3, (0, 0, 1643)),
+]
+
+
 class TestBfs:
     def test_anchors(self):
         assert m_bfs(2, 7).m == 3
@@ -37,6 +89,30 @@ class TestBfs:
 
     def test_q_congruent_one(self):
         assert m_bfs(8, 7).m == 7
+
+    def test_matches_dict_bfs(self):
+        for q in range(1, 31):
+            for e in range(1, 401):
+                if gcd(q, e) == 1:
+                    result = m_bfs(q, e)
+                    assert (result.m, result.witness) == dict_bfs(q, e), (q, e)
+
+    def test_pinned_4097_to_4099(self):
+        cells = [(q, e) for e in range(4097, 4100) for q in range(2, 12)
+                 if gcd(q, e) == 1]
+        assert cells == [(q, e) for q, e, _, _ in BFS_4097_4099]
+        for q, e, m, witness in BFS_4097_4099:
+            result = m_bfs(q, e)
+            assert (result.m, result.witness) == (m, witness), (q, e)
+
+    def test_many_layers(self):
+        # q = 1 mod e: one residue per layer, m = e
+        result = m_bfs(10008, 10007)
+        assert result.m == 10007 and result.witness == (0,) * 10007
+        # 1010 = 1 mod 1009 and has order 3 mod 7: powers 1, 1010, 1010^2
+        result = m_bfs(1010, 7063)
+        assert result.m == 1009
+        assert (result.m, result.witness) == dict_bfs(1010, 7063)
 
     def test_rejects_common_factor(self):
         with pytest.raises(DomainError):
