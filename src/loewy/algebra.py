@@ -2,10 +2,12 @@
 residues modulo z, where b_k carries the base-q expansion of k*e as its
 exponent vector (e = (q^n - 1)/z).
 
-All multiplication logic runs in residues modulo z: the product b_k * b_l is
-b_{k+l} exactly when adding the two exponent vectors is carry-free, and the
-carry test needs only the orbits k*q^i mod z.  e itself is materialized only
-for display and for exact witness verification.
+All multiplication logic reads one array of degrees, deg[k] = digit sum of
+k*e, computed from residues modulo z: the product b_k * b_l is b_{k+l}
+exactly when adding the two exponent vectors is carry-free, and every carry
+costs q - 1 of digit sum, so b_k * b_l != 0 iff k + l <= z and
+deg[k] + deg[l] == deg[k+l].  e itself is materialized only for display and
+for exact witness verification.
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ import numpy as np
 
 from .arith import cyclic_powers, order_dividing
 from .errors import CapacityError, DomainError
-from .mfunc import exponent_digits, m_via_z
+from .mfunc import digit_sum_blocks, exponent_digits, m_via_z, residue_powers
 
-# Residue tables above this many cells are not materialized; rows are
-# recomputed on demand (same results, ~2x slower DP).
-TABLE_CAP = 1 << 25
-_CHUNK_CELLS = 1 << 22
+# The z-length int64 arrays degrees, lam, back_pointer and the irreducibles
+# take 32 bytes per basis index; above this budget Algebra refuses.
+ALGEBRA_CAPACITY_BYTES = 1 << 31
+_BYTES_PER_INDEX = 32
 
 
 @dataclass(frozen=True)
@@ -131,8 +133,8 @@ def verify_witness(q: int, n: int, e: int, factor_vectors, *,
 
 
 class Algebra:
-    """A[q, n, z]: dimension z + 1, constructed and multiplied via residues
-    modulo z."""
+    """A[q, n, z]: dimension z + 1.  degrees[k] is the digit sum of k*e,
+    computed from residues modulo z; it decides every product."""
 
     def __init__(self, q: int, n: int, z: int):
         if q < 2:
@@ -143,19 +145,22 @@ class Algebra:
             raise DomainError(f"z must be >= 1, got {z}")
         if pow(q, n, z) != 1 % z:
             raise DomainError(f"q^n is not 1 modulo z (q={q}, n={n}, z={z})")
+        if _BYTES_PER_INDEX * z > ALGEBRA_CAPACITY_BYTES:
+            raise CapacityError(
+                f"z={z} needs {_BYTES_PER_INDEX * z} bytes of per-index arrays, "
+                f"over the capacity of {ALGEBRA_CAPACITY_BYTES} bytes"
+            )
         self.q = q
         self.n = n
         self.z = z
-        powers = cyclic_powers(q, z)
+        powers = residue_powers(q, n, z)
         self.nu = len(powers)
-        self.q_pows = powers[1:] + powers[:1]  # q^1, ..., q^nu = 1
-        self._pw = np.array(self.q_pows, dtype=np.int64)
-        if z * self.nu <= TABLE_CAP:
-            self._bar = np.arange(z, dtype=np.int64)[:, None] * self._pw[None, :] % z
-        else:
-            self._bar = None
+        self.degrees = np.empty(z + 1, dtype=np.int64)
+        for lo, degrees in digit_sum_blocks(q, n, z, powers):
+            self.degrees[lo:lo + len(degrees)] = degrees
+        self.degrees[0] = 0
+        self.degrees[z] = n * (q - 1)
         self._profile: LoewyProfile | None = None
-        self._m: int | None = None
 
     # -- parameters -------------------------------------------------------
 
@@ -172,25 +177,13 @@ class Algebra:
         return order_dividing(self.q, self.e(), self.n)
 
     def m(self) -> int:
-        if self._m is None:
-            self._m = m_via_z(self.q, self.n, self.z).m
-        return self._m
+        """The least degree of a radical basis monomial."""
+        return int(self.degrees[1:].min())
 
     def __repr__(self) -> str:
         return f"Algebra(q={self.q}, n={self.n}, z={self.z})"
 
-    # -- residues and exponent vectors ------------------------------------
-
-    def residue_row(self, k: int) -> np.ndarray:
-        """Orbit (k*q^1, ..., k*q^nu) mod z."""
-        if self._bar is not None:
-            return self._bar[k % self.z]
-        return (k % self.z) * self._pw % self.z
-
-    def _rows(self, ks: np.ndarray) -> np.ndarray:
-        if self._bar is not None:
-            return self._bar[ks % self.z]
-        return (ks % self.z)[:, None] * self._pw[None, :] % self.z
+    # -- exponent vectors and degrees -------------------------------------
 
     def exponent_vector(self, k: int) -> list[int]:
         """Base-q digits of k*e (LSB first, length n), from residues only."""
@@ -202,35 +195,21 @@ class Algebra:
         """Digit sum of k*e (the total degree of the monomial b_k)."""
         if not 0 <= k <= self.z:
             raise DomainError(f"index must lie in 0..z, got {k}")
-        if k == self.z:
-            return self.n * (self.q - 1)
-        if k == 0:
-            return 0
-        row_sum = int(self.residue_row(k).sum())
-        total = (self.q - 1) * (self.n // self.nu) * row_sum
-        deg, rem = divmod(total, self.z)
-        if rem:
-            raise AssertionError("degree formula did not divide evenly")
-        return deg
+        return int(self.degrees[k])
 
     # -- multiplication ----------------------------------------------------
 
     def product_index(self, k: int, l: int) -> int | None:
         """Index of b_k * b_l, or None when the product is zero.
 
-        For 1 <= k, l <= z-1 the product is nonzero iff no orbit position
-        has residue sum >= z, or all positions sum to exactly z
-        (complementary indices, product = b_z).
+        The product is b_{k+l} iff k + l <= z and the exponent vectors add
+        without a carry, that is deg[k] + deg[l] == deg[k+l].
         """
         z = self.z
         if not (0 <= k <= z and 0 <= l <= z):
             raise DomainError(f"indices must lie in 0..z, got {k}, {l}")
-        if k == 0 or l == 0:
-            return k + l
-        if k == z or l == z:
-            return None  # the socle annihilates the radical
-        sums = self.residue_row(k) + self.residue_row(l)
-        if (sums >= z).any() and not (sums == z).all():
+        deg = self.degrees
+        if k + l > z or deg[k] + deg[l] != deg[k + l]:
             return None
         return k + l
 
@@ -242,51 +221,29 @@ class Algebra:
         return self._profile
 
     def _compute_profile(self) -> LoewyProfile:
-        z = self.z
+        z, deg = self.z, self.degrees
         lam = np.zeros(z + 1, dtype=np.int64)
         bp = np.full(z + 1, -1, dtype=np.int64)
-        if z == 1:
-            lam[1] = 1
-            return LoewyProfile(lam, (1, 1), 2, bp, (1,))
-
         # DP ascending in k; it suffices to scan irreducible left factors,
         # since any factorization refines to one with all factors
         # irreducible without getting shorter (digit-wise sums unchanged).
+        # For k = z every split is valid: deg[i] + deg[z-i] == deg[z].
         irr_idx = np.empty(z, dtype=np.int64)
-        irr_rows = np.empty((z, self.nu), dtype=np.int64)
+        irr_deg = np.empty(z, dtype=np.int64)
         n_irr = 0
-        chunk = max(1, _CHUNK_CELLS // self.nu)
-        for k in range(1, z):
-            best = 0
-            best_i = -1
-            for lo in range(0, n_irr, chunk):
-                hi = min(lo + chunk, n_irr)
-                left = irr_rows[lo:hi]
-                js = k - irr_idx[lo:hi]
-                # summed and reduced in one expression, so no block of sums
-                # stays alive while the next step builds its own; all
-                # positions summing to exactly z is impossible for k < z
-                valid = (left + self._rows(js)).max(axis=1) < z
-                if valid.any():
-                    cand = lam[js[valid]]
-                    pos = int(cand.argmax())
-                    val = int(cand[pos]) + 1
-                    if val > best:
-                        best = val
-                        best_i = int(irr_idx[lo:hi][valid][pos])
-            if best:
-                lam[k] = best
-                bp[k] = best_i
+        for k in range(1, z + 1):
+            right = k - irr_idx[:n_irr]
+            valid = irr_deg[:n_irr] + deg[right] == deg[k]
+            if valid.any():
+                cand = lam[right[valid]]
+                pos = int(cand.argmax())
+                lam[k] = cand[pos] + 1
+                bp[k] = irr_idx[:n_irr][valid][pos]
             else:
                 lam[k] = 1
                 irr_idx[n_irr] = k
-                irr_rows[n_irr] = self.residue_row(k)
+                irr_deg[n_irr] = deg[k]
                 n_irr += 1
-        # k = z: complementary pairs make every split (i, z - i) valid.
-        cand = lam[z - irr_idx[:n_irr]]
-        pos = int(cand.argmax())
-        lam[z] = int(cand[pos]) + 1
-        bp[z] = int(irr_idx[:n_irr][pos])
 
         counts = np.bincount(lam[1:])
         top = int(lam[z])
@@ -303,27 +260,6 @@ class Algebra:
 
     def loewy_length(self) -> int:
         return self.loewy_profile().ll
-
-    def quadratic_loewy_layers(self) -> np.ndarray:
-        """Validation oracle: the unrestricted O(z^2) DP over all splits
-        lam[k] = max(1, max over valid (i, k-i) of lam[i] + lam[k-i])."""
-        z = self.z
-        lam = np.zeros(z + 1, dtype=np.int64)
-        if z == 1:
-            lam[1] = 1
-            return lam
-        for k in range(1, z):
-            lam[k] = 1
-            if k >= 2:
-                left = np.arange(1, k, dtype=np.int64)
-                sums = self._rows(left) + self._rows(k - left)
-                valid = sums.max(axis=1) < z
-                if valid.any():
-                    pair = lam[left[valid]] + lam[(k - left)[valid]]
-                    lam[k] = max(1, int(pair.max()))
-        left = np.arange(1, z, dtype=np.int64)
-        lam[z] = int((lam[left] + lam[z - left]).max())
-        return lam
 
     # -- bound -------------------------------------------------------------
 
@@ -363,21 +299,8 @@ class Algebra:
 
     def degree_histogram(self) -> dict[int, int]:
         """Multiset of monomial degrees over k = 1..z."""
-        z, q, n, nu = self.z, self.q, self.n, self.nu
-        hist: dict[int, int] = {}
-        if z == 1:
-            return {n * (q - 1): 1}
-        chunk = max(1, _CHUNK_CELLS // nu)
-        for lo in range(1, z, chunk):
-            ks = np.arange(lo, min(lo + chunk, z), dtype=np.int64)
-            sums = self._rows(ks).sum(axis=1) * ((q - 1) * (n // nu))
-            degs, rem = np.divmod(sums, z)
-            if rem.any():
-                raise AssertionError("degree formula did not divide evenly")
-            for d, c in zip(*np.unique(degs, return_counts=True)):
-                hist[int(d)] = hist.get(int(d), 0) + int(c)
-        hist[n * (q - 1)] = hist.get(n * (q - 1), 0) + 1  # k = z
-        return dict(sorted(hist.items()))
+        degrees, counts = np.unique(self.degrees[1:], return_counts=True)
+        return {int(d): int(c) for d, c in zip(degrees, counts)}
 
     def orbit_report(self) -> list[OrbitRow]:
         """Exponent vectors of b_1..b_{z-1} up to cyclic shift: smallest
@@ -522,16 +445,10 @@ def validity_table(alg: Algebra) -> np.ndarray:
     """Boolean matrix over 1 <= k, l <= z-1: True where b_k * b_l != 0.
     The index of a nonzero product is always k + l, so two algebras with
     the same z have equal multiplication tables iff these matrices agree."""
-    z = alg.z
-    if z <= 2:
-        return np.ones((max(z - 1, 0), max(z - 1, 0)), dtype=bool)
-    ks = np.arange(1, z, dtype=np.int64)
-    rows = alg._rows(ks)
-    acc = np.zeros((z - 1, z - 1), dtype=np.int64)
-    for i in range(alg.nu):
-        np.maximum(acc, np.add.outer(rows[:, i], rows[:, i]), out=acc)
-    valid = acc < z
-    np.fill_diagonal(valid[::-1], True)  # complementary pairs: k + l = z
+    z, deg = alg.z, alg.degrees
+    valid = np.zeros((z - 1, z - 1), dtype=bool)
+    for k in range(1, z):  # row k - 1 holds l = 1..z-k, the l with k + l <= z
+        valid[k - 1, :z - k] = deg[k] + deg[1:z - k + 1] == deg[k + 1:]
     return valid
 
 

@@ -10,7 +10,6 @@ rescans of the same range are byte-identical.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .algebra import Algebra, same_table
@@ -191,6 +190,10 @@ def compute_records(keys, *, jobs: int = 1):
         for key in keys:
             yield compute_or_error(key)
         return
+    # imported here: the pool module costs every CLI process memory, and
+    # only jobs > 1 uses it
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         yield from pool.map(compute_or_error, keys, chunksize=8)
 

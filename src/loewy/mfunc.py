@@ -5,7 +5,8 @@ Three independent general algorithms are provided (bitset layer BFS on Z/e,
 digit-sum scan over multiples of e, and the residue-sum formula working
 entirely modulo z), plus a catalogue of closed-form fast paths and the
 classification of the pairs with m >= e/3.  The general algorithms serve as
-oracles for one another and for every closed form.
+oracles for one another and for every closed form.  The residue-sum kernel,
+`digit_sum_blocks`, also gives `Algebra` the degrees of its basis monomials.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ from .arith import (
 from .errors import CapacityError, DomainError
 
 BFS_CAPACITY = 1 << 31
+# The largest z with z^2 < 2^63: k*q^i mod z is formed in int64 from k < z.
+DIGIT_SUM_CAPACITY = 3_037_000_499
+# Degrees reach n(q-1); up to this bound a sum of two stays in int64.
+_DEGREE_CAPACITY = 1 << 62
+_BLOCK_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -150,10 +156,45 @@ def m_digit_scan(q: int, n: int, e: int) -> MResult:
     return MResult(m=best, method="digit_scan", witness=witness, k_min=best_k)
 
 
+def residue_powers(q: int, n: int, z: int) -> np.ndarray:
+    """The powers 1, q, q^2, ... modulo z (one cycle) as int64, refusing
+    parameters whose products k*q^i mod z or digit sums overflow int64."""
+    if z > DIGIT_SUM_CAPACITY:
+        raise CapacityError(
+            f"z={z} exceeds {DIGIT_SUM_CAPACITY}, above which k*q^i mod z "
+            "overflows int64"
+        )
+    if n * (q - 1) > _DEGREE_CAPACITY:
+        raise CapacityError(
+            f"the top degree n(q-1) = {n * (q - 1)} exceeds {_DEGREE_CAPACITY}, "
+            "above which a sum of two degrees overflows int64"
+        )
+    return np.array(cyclic_powers(q, z), dtype=np.int64)
+
+
+def digit_sum_blocks(q: int, n: int, z: int, powers: np.ndarray):
+    """Yield (lo, degrees): the digit sums of k*e for k = lo, lo + 1, ...,
+    in ascending blocks covering 1 <= k < z, where e = (q^n - 1)/z and
+    powers = residue_powers(q, n, z).  The digit sum of k*e is
+    (q-1)(n/nu) * sum_i (k*q^i mod z) / z over one cycle of powers, so e
+    itself is never formed."""
+    nu = len(powers)
+    g = gcd(q - 1, z)
+    scale, divisor = (n // nu) * ((q - 1) // g), z // g
+    rows = max(1, _BLOCK_CELLS // nu)
+    for lo in range(1, z, rows):
+        cells = np.arange(lo, min(lo + rows, z), dtype=np.int64)[:, None] * powers
+        cells %= z
+        sums, rem = np.divmod(cells.sum(axis=1), divisor)
+        if rem.any():
+            raise AssertionError("digit-sum formula did not divide evenly")
+        yield lo, sums * scale
+
+
 def m_via_z(q: int, n: int, z: int) -> MResult:
-    """m from residues modulo z alone: the digit sum of k*e equals
-    (q-1)/z * (n/ord_z(q)) * (orbit residue sum of k), so the minimum over
-    1 <= k < z never touches e itself."""
+    """m from residues modulo z alone: the least digit sum of k*e over
+    1 <= k < z, from `digit_sum_blocks`, so e itself is never formed.
+    k_min is the smallest minimizing k."""
     if q < 2:
         raise DomainError(f"q must be >= 2, got {q}")
     if n < 1:
@@ -162,25 +203,14 @@ def m_via_z(q: int, n: int, z: int) -> MResult:
         raise DomainError(f"z must be >= 1, got {z}")
     if pow(q, n, z) != 1 % z:
         raise DomainError(f"q^n is not 1 modulo z (q={q}, n={n}, z={z})")
-    if z == 1:  # e = q^n - 1 itself, all digits q - 1
-        m, best_k = n * (q - 1), 1
-    else:
-        pw = np.array(cyclic_powers(q, z), dtype=np.int64)
-        nu = len(pw)
-        best = None
-        best_k = None
-        rows = max(1, (1 << 22) // nu)
-        for lo in range(1, z, rows):
-            ks = np.arange(lo, min(lo + rows, z), dtype=np.int64)
-            sums = (ks[:, None] * pw[None, :] % z).sum(axis=1)
-            idx = int(sums.argmin())
-            if best is None or sums[idx] < best:
-                best = int(sums[idx])
-                best_k = int(ks[idx])
-        total = (q - 1) * (n // nu) * best
-        m, rem = divmod(total, z)
-        if rem:
-            raise AssertionError("digit-sum formula did not divide evenly")
+    powers = residue_powers(q, n, z)
+    # only z*e = q^n - 1 has all digits q - 1, so every k < z lies below
+    # this start, and z = 1 keeps it
+    m, best_k = n * (q - 1), 1
+    for lo, degrees in digit_sum_blocks(q, n, z, powers):
+        idx = int(degrees.argmin())
+        if degrees[idx] < m:
+            m, best_k = int(degrees[idx]), lo + idx
     digits = exponent_digits(q, n, z, best_k)
     witness = tuple(sorted(i for i, d in enumerate(digits) for _ in range(d)))
     return MResult(m=m, method="residue_formula", witness=witness, k_min=best_k)

@@ -8,7 +8,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from conftest import exact_exponent_vector
+from conftest import exact_exponent_vector, quadratic_loewy_layers
 from data.m_small_grid import (
     E31_RESIDUE_GROUPS,
     E32_RESIDUE_GROUPS,
@@ -300,7 +300,7 @@ def test_criterion_14_property_suites(tmp_path):
     # irreducible-restricted DP vs the quadratic DP at z = 1500
     key = subgroup_representatives(1500)[5]
     alg = Algebra(key.q_rep, mult_order(key.q_rep % 1500, 1500), 1500)
-    assert np.array_equal(alg.loewy_profile().lam, alg.quadratic_loewy_layers())
+    assert np.array_equal(alg.loewy_profile().lam, quadratic_loewy_layers(alg))
     # index-set dimensions vs the dense rank oracle at z = 60
     alg = Algebra(7, 4, 60)
     oracle = DenseOracle(alg, 2)

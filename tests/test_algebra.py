@@ -1,8 +1,14 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from conftest import exact_exponent_vector
-from loewy import algebra
+from conftest import (
+    exact_exponent_vector,
+    positionwise_product,
+    quadratic_loewy_layers,
+    residue_rows,
+)
 from loewy.algebra import (
     Algebra,
     concat_witness,
@@ -14,7 +20,7 @@ from loewy.algebra import (
 )
 from loewy.arith import mult_order
 from loewy.database import subgroup_representatives
-from loewy.errors import DomainError
+from loewy.errors import CapacityError, DomainError
 
 
 class TestConstruction:
@@ -40,6 +46,14 @@ class TestConstruction:
             Algebra(3, 4, 7)
         with pytest.raises(DomainError):
             Algebra(1, 4, 5)
+
+    def test_degree_capacity(self):
+        # the top degree n(q-1) = 2^62 still fits, with b_1 * b_1 = b_2
+        alg = Algebra(2**62 + 1, 1, 2)
+        assert alg.degrees.tolist() == [0, 2**61, 2**62]
+        assert alg.product_index(1, 1) == 2
+        with pytest.raises(CapacityError):
+            Algebra(2**62 + 3, 1, 2)
 
 
 class TestExponentVectors:
@@ -272,23 +286,34 @@ class TestSameTable:
             same_table(Algebra(2, 4, 5), Algebra(2, 4, 15))
 
 
-class TestRowsOnDemand:
-    """Above TABLE_CAP cells the residue rows are computed on demand; every
-    result must equal the tabled algebra's."""
+class TestPositionwiseRule:
+    """The degree test equals the position-wise carry test on the residue
+    rows k*q^i mod z: Loewy layers, back-pointers, the validity table and
+    the degree histogram."""
 
     CASES = [(3, 12, 70), (2, 3, 7), (29, 6, 117)] + [
         (key.q_rep, mult_order(key.q_rep % 97, 97), 97)
         for key in subgroup_representatives(97)]
 
     @pytest.mark.parametrize("q,n,z", CASES)
-    def test_matches_table(self, q, n, z, monkeypatch):
-        tabled = Algebra(q, n, z)
-        monkeypatch.setattr(algebra, "TABLE_CAP", 0)
-        on_demand = Algebra(q, n, z)
-        assert tabled._bar is not None and on_demand._bar is None
-        want, got = tabled.loewy_profile(), on_demand.loewy_profile()
-        assert np.array_equal(got.lam, want.lam)
-        assert np.array_equal(got.back_pointer, want.back_pointer)
-        assert on_demand.degree_histogram() == tabled.degree_histogram()
-        assert np.array_equal(validity_table(on_demand), validity_table(tabled))
-        assert len(on_demand.witness(z)) == len(tabled.witness(z))
+    def test_matches_positionwise(self, q, n, z):
+        alg = Algebra(q, n, z)
+        rows = residue_rows(alg)
+        profile = alg.loewy_profile()
+        lam = profile.lam
+        assert np.array_equal(lam, quadratic_loewy_layers(alg))
+
+        for k in range(1, z + 1):
+            want = next((i for i in profile.irreducibles if i < k
+                         and positionwise_product(rows, i, k - i)
+                         and lam[k - i] == lam[k] - 1), -1)
+            assert profile.back_pointer[k] == want, k
+
+        table = np.array([[positionwise_product(rows, k, l) for l in range(1, z)]
+                          for k in range(1, z)], dtype=bool)
+        assert np.array_equal(validity_table(alg), table)
+
+        scale = (q - 1) * (n // alg.nu)
+        degrees = [int(rows[k].sum()) * scale // z for k in range(1, z)]
+        degrees.append(n * (q - 1))
+        assert alg.degree_histogram() == Counter(degrees)

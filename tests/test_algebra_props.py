@@ -8,7 +8,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from conftest import exact_exponent_vector
+from conftest import exact_exponent_vector, quadratic_loewy_layers
 from loewy.algebra import Algebra, same_table, validity_table
 from loewy.arith import mult_order, order_dividing
 from loewy.database import subgroup_representatives
@@ -42,12 +42,21 @@ def check_bounds(alg):
     assert report.ll == len(alg.loewy_vector())
 
 
-class TestCarryOracle:
-    """The residue carry test versus digit-wise addition of the exact
-    exponent vectors, over all index pairs."""
+# the fixed cases first, so their test ids stay, then every key with z <= 40
+_CARRY_CASES = [(2, 4, 5), (3, 12, 70), (19, 2, 40), (7, 4, 60), (12, 4, 11),
+                (2, 11, 89)]
+_CARRY_CASES += [
+    case for case in (
+        (key.q_rep, 1 if z == 1 else mult_order(key.q_rep % z, z), z)
+        for z in range(1, 41) for key in subgroup_representatives(z))
+    if case not in _CARRY_CASES]
 
-    @pytest.mark.parametrize("q,n,z", [(2, 4, 5), (3, 12, 70), (19, 2, 40),
-                                       (7, 4, 60), (12, 4, 11), (2, 11, 89)])
+
+class TestCarryOracle:
+    """The degree test of product_index versus digit-wise addition of the
+    exact exponent vectors, over all index pairs."""
+
+    @pytest.mark.parametrize("q,n,z", _CARRY_CASES)
     def test_all_pairs_small(self, q, n, z):
         alg = Algebra(q, n, z)
         vecs = [exact_exponent_vector(q, n, z, k) for k in range(z + 1)]
@@ -98,7 +107,7 @@ class TestDpEquivalence:
             n = mult_order(key.q_rep % z, z) if z > 1 else 1
             alg = Algebra(key.q_rep, n, z)
             fast = alg.loewy_profile().lam
-            slow = alg.quadratic_loewy_layers()
+            slow = quadratic_loewy_layers(alg)
             assert np.array_equal(fast, slow), (key.q_rep, n, z)
             check_bounds(alg)
 
@@ -109,7 +118,7 @@ class TestDpEquivalence:
             n = mult_order(key.q_rep % z, z)
             alg = Algebra(key.q_rep, n, z)
             assert np.array_equal(alg.loewy_profile().lam,
-                                  alg.quadratic_loewy_layers())
+                                  quadratic_loewy_layers(alg))
 
 
 class TestSuperadditivity:

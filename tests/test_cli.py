@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from loewy import algebra, mfunc
 from loewy.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
@@ -72,6 +73,40 @@ class TestM:
         code, _, err = run_cli(["m", "--q", "3", "--n", "12", "--z", "70",
                                 "--e", "7593"], capsys)
         assert code == 1 and "inconsistent" in err
+
+
+class TestCapacity:
+    """Over-budget parameters exit 2 before any z-sized allocation: the
+    functions that would allocate are replaced by ones that fail."""
+
+    @staticmethod
+    def _unreachable(*args):
+        raise AssertionError("capacity check came after an allocation")
+
+    def test_algebra_over_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(algebra, "residue_powers", self._unreachable)
+        code, _, err = run_cli(["algebra", "--q", "2", "--n", "40",
+                                "--z", "1099511627775"], capsys)
+        assert code == 2
+        assert err.startswith("capacity error:") and "Traceback" not in err
+
+    def test_m_via_z_beyond_int64(self, capsys, monkeypatch):
+        monkeypatch.setattr(mfunc, "cyclic_powers", self._unreachable)
+        code, _, err = run_cli(["m", "--q", "2", "--n", "32",
+                                "--z", "4294967295"], capsys)
+        assert code == 2
+        assert err.startswith("capacity error:") and "Traceback" not in err
+
+
+class TestImports:
+    def test_cli_leaves_process_pool_unimported(self):
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, loewy.cli; "
+             "print('concurrent.futures.process' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
 
 
 class TestMtable:

@@ -5,6 +5,7 @@ import pytest
 from loewy.arith import cyclic_powers
 from loewy.errors import CapacityError, DomainError
 from loewy.mfunc import (
+    DIGIT_SUM_CAPACITY,
     LargeMCase,
     classify_large_m,
     exponent_digits,
@@ -157,6 +158,15 @@ class TestViaZ:
     def test_rejects_bad_modulus(self):
         with pytest.raises(DomainError):
             m_via_z(3, 4, 7)
+
+    def test_int64_capacity(self):
+        # one past the last z whose products k*q^i mod z fit int64
+        z = DIGIT_SUM_CAPACITY + 1
+        with pytest.raises(CapacityError):
+            m_via_z(z + 1, 1, z)
+        # degrees above 2^62 are refused
+        with pytest.raises(CapacityError):
+            m_via_z(2**62 + 3, 1, 2)
 
 
 class TestExponentDigits:
