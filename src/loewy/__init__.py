@@ -48,6 +48,7 @@ from .mfunc import (
     m_functional_equation,
     m_value,
     m_via_z,
+    residue_witness,
     small_e_candidates,
 )
 
@@ -81,6 +82,7 @@ __all__ = [
     "m_via_z",
     "pair_count",
     "reduction_targets",
+    "residue_witness",
     "same_table",
     "scan_records",
     "scan_to_file",

@@ -8,6 +8,12 @@ exactly when adding the two exponent vectors is carry-free, and every carry
 costs q - 1 of digit sum, so b_k * b_l != 0 iff k + l <= z and
 deg[k] + deg[l] == deg[k+l].  e itself is materialized only for display and
 for exact witness verification.
+
+The cyclic shift x_i -> x_{i+1} is an automorphism sending b_k to
+b_{kq mod z}, so the Loewy layer is constant on the orbits of k -> kq mod z.
+The same pass that computes the degrees records each index's orbit minimum;
+the Loewy DP runs once per orbit, at its minimum, and witnesses find their
+factors on demand from the layers and degrees.
 """
 
 from __future__ import annotations
@@ -21,8 +27,9 @@ from .arith import cyclic_powers, order_dividing
 from .errors import CapacityError, DomainError
 from .mfunc import digit_sum_blocks, exponent_digits, m_via_z, residue_powers
 
-# The z-length int64 arrays degrees, lam, back_pointer and the irreducibles
-# take 32 bytes per basis index; above this budget Algebra refuses.
+# The z-length int64 arrays degrees, orbit_min, lam and the argsort order of
+# orbit_min that the Loewy DP walks take 32 bytes per basis index; above
+# this budget Algebra refuses.
 ALGEBRA_CAPACITY_BYTES = 1 << 31
 _BYTES_PER_INDEX = 32
 
@@ -32,16 +39,16 @@ class LoewyProfile:
     """Per-index layer function and derived data.
 
     lam[k] is the maximal number of radical basis factors in a factorization
-    of b_k (lam[0] = 0 for the identity).  loewy_vector = (1, c_1, ..., c_L)
-    with c_t = #{k >= 1 : lam[k] = t}; ll = lam[z] + 1.  back_pointer[k] is
-    the smallest irreducible left factor of a maximal factorization of b_k,
-    or -1 when b_k is irreducible.
+    of b_k (lam[0] = 0 for the identity); it is constant on the orbits of
+    k -> kq mod z.  loewy_vector = (1, c_1, ..., c_L) with
+    c_t = #{k >= 1 : lam[k] = t}; ll = lam[z] + 1.  irreducibles are the
+    k >= 1 with lam[k] = 1, ascending.  Maximal factorizations are not
+    stored: `Algebra.left_factor` finds each factor on demand.
     """
 
     lam: np.ndarray
     loewy_vector: tuple[int, ...]
     ll: int
-    back_pointer: np.ndarray
     irreducibles: tuple[int, ...]
 
 
@@ -134,7 +141,9 @@ def verify_witness(q: int, n: int, e: int, factor_vectors, *,
 
 class Algebra:
     """A[q, n, z]: dimension z + 1.  degrees[k] is the digit sum of k*e,
-    computed from residues modulo z; it decides every product."""
+    computed from residues modulo z; it decides every product.
+    orbit_min[k] is the smallest index of the orbit of k under
+    k -> kq mod z (orbit_min[0] = 0, orbit_min[z] = z)."""
 
     def __init__(self, q: int, n: int, z: int):
         if q < 2:
@@ -156,10 +165,14 @@ class Algebra:
         powers = residue_powers(q, n, z)
         self.nu = len(powers)
         self.degrees = np.empty(z + 1, dtype=np.int64)
-        for lo, degrees in digit_sum_blocks(q, n, z, powers):
+        self.orbit_min = np.empty(z + 1, dtype=np.int64)
+        for lo, degrees, orbit_min in digit_sum_blocks(q, n, z, powers):
             self.degrees[lo:lo + len(degrees)] = degrees
+            self.orbit_min[lo:lo + len(orbit_min)] = orbit_min
         self.degrees[0] = 0
         self.degrees[z] = n * (q - 1)
+        self.orbit_min[0] = 0
+        self.orbit_min[z] = z
         self._profile: LoewyProfile | None = None
 
     # -- parameters -------------------------------------------------------
@@ -223,27 +236,26 @@ class Algebra:
     def _compute_profile(self) -> LoewyProfile:
         z, deg = self.z, self.degrees
         lam = np.zeros(z + 1, dtype=np.int64)
-        bp = np.full(z + 1, -1, dtype=np.int64)
-        # DP ascending in k; it suffices to scan irreducible left factors,
-        # since any factorization refines to one with all factors
-        # irreducible without getting shorter (digit-wise sums unchanged).
-        # For k = z every split is valid: deg[i] + deg[z-i] == deg[z].
-        irr_idx = np.empty(z, dtype=np.int64)
-        irr_deg = np.empty(z, dtype=np.int64)
-        n_irr = 0
-        for k in range(1, z + 1):
-            right = k - irr_idx[:n_irr]
-            valid = irr_deg[:n_irr] + deg[right] == deg[k]
-            if valid.any():
-                cand = lam[right[valid]]
-                pos = int(cand.argmax())
-                lam[k] = cand[pos] + 1
-                bp[k] = irr_idx[:n_irr][valid][pos]
-            else:
-                lam[k] = 1
-                irr_idx[n_irr] = k
-                irr_deg[n_irr] = deg[k]
-                n_irr += 1
+        # lam[k] is the best lam[i] + lam[k-i] over the valid splits with
+        # i <= k/2, or 1 when there is none; refining both factors into
+        # irreducibles shows this equals the best over irreducible left
+        # factors.  lam is constant on orbits, so the DP visits each orbit
+        # once, at its minimum, in ascending order: every index below the
+        # minimum lies in an orbit already done.  Sorted by orbit_min, each
+        # orbit is one run of `order`, and the run of {0} comes first, with
+        # no start.  For k = z every split is valid.
+        order = np.argsort(self.orbit_min)
+        ordered = self.orbit_min[order]
+        starts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+        minima = ordered[starts].tolist()
+        del ordered
+        stops = starts[1:].tolist() + [z + 1]
+        best = np.maximum.reduce
+        for k, start, stop in zip(minima, starts.tolist(), stops):
+            h = k // 2
+            valid = deg[1:h + 1] + deg[k - 1:k - h - 1:-1] == deg[k]
+            lam[order[start:stop]] = best(lam[1:h + 1] + lam[k - 1:k - h - 1:-1],
+                                          where=valid, initial=1)
 
         counts = np.bincount(lam[1:])
         top = int(lam[z])
@@ -252,8 +264,8 @@ class Algebra:
         vector = (1,) + tuple(int(counts[t]) for t in range(1, top + 1))
         if sum(vector) != z + 1:
             raise AssertionError("Loewy vector does not sum to the dimension")
-        irreducibles = tuple(int(i) for i in irr_idx[:n_irr])
-        return LoewyProfile(lam, vector, top + 1, bp, irreducibles)
+        irreducibles = tuple((np.flatnonzero(lam[1:] == 1) + 1).tolist())
+        return LoewyProfile(lam, vector, top + 1, irreducibles)
 
     def loewy_vector(self) -> tuple[int, ...]:
         return self.loewy_profile().loewy_vector
@@ -276,21 +288,35 @@ class Algebra:
 
     # -- witnesses -----------------------------------------------------------
 
-    def witness(self, k: int) -> Witness:
-        """Factorization of b_k into lam[k] radical basis factors, unwound
-        from the DP back-pointers and verified exactly."""
+    def left_factor(self, k: int) -> int:
+        """The smallest irreducible i < k with b_k = b_i * b_{k-i} and
+        lam[k-i] = lam[k] - 1, the next factor `witness` takes off b_k; -1
+        when b_k is irreducible."""
         if not 1 <= k <= self.z:
             raise DomainError(f"index must lie in 1..z, got {k}")
-        profile = self.loewy_profile()
+        lam, deg = self.loewy_profile().lam, self.degrees
+        if lam[k] == 1:
+            return -1
+        split = ((lam[1:k] == 1) & (lam[k - 1:0:-1] == lam[k] - 1)
+                 & (deg[1:k] + deg[k - 1:0:-1] == deg[k]))
+        i = int(split.argmax())
+        if not split[i]:
+            raise AssertionError(f"no left factor attains lam[{k}]")
+        return i + 1
+
+    def witness(self, k: int) -> Witness:
+        """Factorization of b_k into lam[k] radical basis factors, unwound
+        by `left_factor` and verified exactly."""
+        if not 1 <= k <= self.z:
+            raise DomainError(f"index must lie in 1..z, got {k}")
         factors = []
         cur = k
-        while profile.back_pointer[cur] >= 0:
-            i = int(profile.back_pointer[cur])
+        while (i := self.left_factor(cur)) > 0:
             factors.append(i)
             cur -= i
         factors.append(cur)
-        if len(factors) != int(profile.lam[k]):
-            raise AssertionError("back-pointer unwinding lost factors")
+        if len(factors) != int(self.loewy_profile().lam[k]):
+            raise AssertionError("left-factor unwinding lost factors")
         vectors = [self.exponent_vector(i) for i in factors]
         return verify_witness(self.q, self.n, self.e(), vectors,
                               target_vector=self.exponent_vector(k))
@@ -305,25 +331,19 @@ class Algebra:
     def orbit_report(self) -> list[OrbitRow]:
         """Exponent vectors of b_1..b_{z-1} up to cyclic shift: smallest
         representative, vector, orbit length under k -> k*q, digit sum."""
-        z, q = self.z, self.q
-        rows = []
-        seen = bytearray(z)
-        for k in range(1, z):
-            if seen[k]:
-                continue
-            orbit = []
-            cur = k
-            while not seen[cur]:
-                seen[cur] = 1
-                orbit.append(cur)
-                cur = cur * q % z
-            rows.append(OrbitRow(
+        z = self.z
+        inner = self.orbit_min[1:z]
+        sizes = np.bincount(inner, minlength=z)
+        reps = np.flatnonzero(inner == np.arange(1, z)) + 1
+        return [
+            OrbitRow(
                 k=k,
                 vector=tuple(self.exponent_vector(k)),
-                orbit_length=len(orbit),
+                orbit_length=int(sizes[k]),
                 degree=self.degree_of(k),
-            ))
-        return rows
+            )
+            for k in reps.tolist()
+        ]
 
     def render_orbit_report(self) -> str:
         lines = [

@@ -57,10 +57,13 @@ def cmd_m(args) -> int:
         result = mfunc.m_value(q, e)
     else:
         raise DomainError("provide --e, or --z together with --n")
-    print(f"m = {result.m}")
     witness = result.witness
     if args.witness and witness is None:
-        witness = mfunc.m_bfs(q, e).witness
+        if result.k_min is not None:
+            witness = mfunc.residue_witness(q, args.n, z, result)
+        else:
+            witness = mfunc.m_bfs(q, e).witness
+    print(f"m = {result.m}")
     if args.json:
         payload = {"m": result.m, "method": result.method}
         if result.rule_id:

@@ -58,20 +58,20 @@ class FrobeniusMap:
 
 
 def frobenius(alg: Algebra, p: int) -> FrobeniusMap:
-    """The p-th power map on basis elements, decided by repeated products."""
+    """The p-th power map on basis elements, read off the degree array:
+    b_k^p = b_{pk} iff pk <= z and the p-fold sum of b_k's exponent vector
+    is carry-free, that is deg[pk] == p * deg[k], since every carry costs
+    q - 1 of degree."""
     if not is_prime(p):
         raise DomainError(f"p must be prime, got {p}")
-    image: list[int | None] = [0] * (alg.z + 1)
-    for k in range(1, alg.z + 1):
-        cur: int | None = k
-        for _ in range(p - 1):
-            cur = alg.product_index(cur, k)
-            if cur is None:
-                break
-        image[k] = cur
-    defined = [v for v in image[1:] if v is not None]
-    if len(set(defined)) != len(defined):
-        raise AssertionError("Frobenius is not injective where defined")
+    image: list[int | None] = [0] + [None] * alg.z
+    if p <= alg.z:  # otherwise pk > z for every k >= 1
+        deg = alg.degrees
+        ks = np.arange(1, alg.z // p + 1, dtype=np.int64)
+        power = deg[p * ks]  # deg[pk] <= p * deg[k]: divide, never overflow
+        carry_free = (power % p == 0) & (power // p == deg[ks])
+        for k in ks[carry_free].tolist():
+            image[k] = p * k
     return FrobeniusMap(p=p, image=tuple(image))
 
 

@@ -32,6 +32,8 @@ from .arith import (
 from .errors import CapacityError, DomainError
 
 BFS_CAPACITY = 1 << 31
+# The most exponents a witness multiset of m terms may hold.
+WITNESS_CAPACITY = 1 << 24
 # The largest z with z^2 < 2^63: k*q^i mod z is formed in int64 from k < z.
 DIGIT_SUM_CAPACITY = 3_037_000_499
 # Degrees reach n(q-1); up to this bound a sum of two stays in int64.
@@ -45,7 +47,8 @@ class MResult:
 
     witness, when present, is a sorted multiset of exponents i with
     sum(q**i) divisible by e and exactly m terms.  k_min records the
-    multiple of e attaining the minimal digit sum, for the scanning methods.
+    multiple of e attaining the minimal digit sum, for the scanning methods;
+    `m_via_z` leaves witness to `residue_witness`.
     """
 
     m: int
@@ -173,11 +176,13 @@ def residue_powers(q: int, n: int, z: int) -> np.ndarray:
 
 
 def digit_sum_blocks(q: int, n: int, z: int, powers: np.ndarray):
-    """Yield (lo, degrees): the digit sums of k*e for k = lo, lo + 1, ...,
-    in ascending blocks covering 1 <= k < z, where e = (q^n - 1)/z and
-    powers = residue_powers(q, n, z).  The digit sum of k*e is
-    (q-1)(n/nu) * sum_i (k*q^i mod z) / z over one cycle of powers, so e
-    itself is never formed."""
+    """Yield (lo, degrees, orbit_min) for k = lo, lo + 1, ..., in ascending
+    blocks covering 1 <= k < z, where e = (q^n - 1)/z and
+    powers = residue_powers(q, n, z).  Row k of a block holds the cells
+    k*q^i mod z over one cycle of powers, which is the orbit of k under
+    k -> k*q mod z.  degrees is the digit sum of k*e,
+    (q-1)(n/nu) * sum_i (k*q^i mod z) / z, so e itself is never formed;
+    orbit_min is the smallest index of the orbit, the row minimum."""
     nu = len(powers)
     g = gcd(q - 1, z)
     scale, divisor = (n // nu) * ((q - 1) // g), z // g
@@ -188,13 +193,14 @@ def digit_sum_blocks(q: int, n: int, z: int, powers: np.ndarray):
         sums, rem = np.divmod(cells.sum(axis=1), divisor)
         if rem.any():
             raise AssertionError("digit-sum formula did not divide evenly")
-        yield lo, sums * scale
+        yield lo, sums * scale, cells.min(axis=1)
 
 
 def m_via_z(q: int, n: int, z: int) -> MResult:
     """m from residues modulo z alone: the least digit sum of k*e over
     1 <= k < z, from `digit_sum_blocks`, so e itself is never formed.
-    k_min is the smallest minimizing k."""
+    k_min is the smallest minimizing k; `residue_witness` expands it into
+    exponents on request."""
     if q < 2:
         raise DomainError(f"q must be >= 2, got {q}")
     if n < 1:
@@ -207,13 +213,25 @@ def m_via_z(q: int, n: int, z: int) -> MResult:
     # only z*e = q^n - 1 has all digits q - 1, so every k < z lies below
     # this start, and z = 1 keeps it
     m, best_k = n * (q - 1), 1
-    for lo, degrees in digit_sum_blocks(q, n, z, powers):
+    for lo, degrees, _ in digit_sum_blocks(q, n, z, powers):
         idx = int(degrees.argmin())
         if degrees[idx] < m:
             m, best_k = int(degrees[idx]), lo + idx
-    digits = exponent_digits(q, n, z, best_k)
-    witness = tuple(sorted(i for i, d in enumerate(digits) for _ in range(d)))
-    return MResult(m=m, method="residue_formula", witness=witness, k_min=best_k)
+    return MResult(m=m, method="residue_formula", k_min=best_k)
+
+
+def residue_witness(q: int, n: int, z: int, result: MResult) -> tuple[int, ...]:
+    """Expand `m_via_z`'s k_min into its witness: the exponents i in
+    ascending order, each repeated as often as the base-q digit of q^i in
+    k_min*e, so that the m powers q^i sum to k_min*e.  m is checked against
+    WITNESS_CAPACITY before any digit is expanded."""
+    if result.m > WITNESS_CAPACITY:
+        raise CapacityError(
+            f"a witness of m={result.m} exponents exceeds the capacity of "
+            f"{WITNESS_CAPACITY}"
+        )
+    digits = exponent_digits(q, n, z, result.k_min)
+    return tuple(i for i, d in enumerate(digits) for _ in range(d))
 
 
 def exponent_digits(q: int, n: int, z: int, k: int) -> list[int]:

@@ -214,6 +214,8 @@ def test_criterion_09_e33_slow_suite():
     )
     w = alg.witness(alg.z)
     assert len(w) == 12
+    assert w.factor_indices == (1, 95, 100, 947, 2375, 4735, 11875, 11875,
+                                23675, 59375, 62500, 118375)
     cur = w.factor_indices[0]
     for idx in w.factor_indices[1:]:
         cur = alg.product_index(cur, idx)

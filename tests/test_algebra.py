@@ -274,6 +274,61 @@ class TestOrbitReport:
         assert sum(r.orbit_length for r in rows) == 69
 
 
+def orbit_keys():
+    """Every key with z <= 120, and the 12 keys at the prime z = 997."""
+    for z in list(range(1, 121)) + [997]:
+        for key in subgroup_representatives(z):
+            n = mult_order(key.q_rep % z, z) if z > 1 else 1
+            yield key.q_rep, n, z
+
+
+class TestOrbits:
+    """orbit_min comes from the degree kernel's blocks, and the Loewy DP
+    writes one value per orbit of k -> kq mod z."""
+
+    @staticmethod
+    def orbits(q, z):
+        seen = [False] * (z + 1)
+        for k in range(1, z):
+            if not seen[k]:
+                orbit, cur = [], k
+                while not seen[cur]:
+                    seen[cur] = True
+                    orbit.append(cur)
+                    cur = cur * q % z
+                yield orbit
+
+    def test_orbit_min_matches_walk(self):
+        for q, n, z in orbit_keys():
+            want = list(range(z + 1))
+            for orbit in self.orbits(q, z):
+                for k in orbit:
+                    want[k] = min(orbit)
+            assert Algebra(q, n, z).orbit_min.tolist() == want, (q, n, z)
+
+    def test_lam_constant_on_orbits(self):
+        for q, n, z in orbit_keys():
+            lam = Algebra(q, n, z).loewy_profile().lam
+            for orbit in self.orbits(q, z):
+                assert len(set(lam[orbit].tolist())) == 1, (q, n, z, orbit)
+
+
+class TestWitnessPins:
+    """Factor indices recorded while the DP still stored back-pointers."""
+
+    def test_z70_every_index(self):
+        alg = Algebra(3, 12, 70)
+        for k in range(1, 70):
+            w = alg.witness(k)
+            assert len(w) == 1 and w.factor_indices == (k,)
+        w = alg.witness(70)
+        assert len(w) == 2 and w.factor_indices == (1, 69)
+
+    def test_z5551_top(self):
+        w = Algebra(9, 15, 5551).witness(5551)
+        assert len(w) == 3 and w.factor_indices == (2, 2529, 3020)
+
+
 class TestSameTable:
     def test_pairs(self):
         assert same_table(Algebra(2, 4, 5), Algebra(3, 4, 5))
@@ -288,7 +343,7 @@ class TestSameTable:
 
 class TestPositionwiseRule:
     """The degree test equals the position-wise carry test on the residue
-    rows k*q^i mod z: Loewy layers, back-pointers, the validity table and
+    rows k*q^i mod z: Loewy layers, left factors, the validity table and
     the degree histogram."""
 
     CASES = [(3, 12, 70), (2, 3, 7), (29, 6, 117)] + [
@@ -307,7 +362,7 @@ class TestPositionwiseRule:
             want = next((i for i in profile.irreducibles if i < k
                          and positionwise_product(rows, i, k - i)
                          and lam[k - i] == lam[k] - 1), -1)
-            assert profile.back_pointer[k] == want, k
+            assert alg.left_factor(k) == want, k
 
         table = np.array([[positionwise_product(rows, k, l) for l in range(1, z)]
                           for k in range(1, z)], dtype=bool)

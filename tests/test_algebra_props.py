@@ -99,7 +99,7 @@ class TestExponentVectorSoundness:
 
 
 class TestDpEquivalence:
-    """The irreducible-left-factor DP equals the unrestricted quadratic DP."""
+    """The DP over orbit minima equals the unrestricted quadratic DP."""
 
     @pytest.mark.parametrize("z", [2, 3, 24, 40, 70, 117, 179])
     def test_all_representatives(self, z):

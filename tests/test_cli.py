@@ -97,6 +97,24 @@ class TestCapacity:
         assert code == 2
         assert err.startswith("capacity error:") and "Traceback" not in err
 
+    def test_m_witness_over_budget(self, capsys, monkeypatch):
+        # m = 2^61 is printed; its witness would hold 2^61 exponents
+        monkeypatch.setattr(mfunc, "exponent_digits", self._unreachable)
+        args = ["m", "--q", str(2**62 + 1), "--n", "1", "--z", "2"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0 and out.splitlines()[1:] == [f"m = {2**61}"]
+        for extra in (["--witness"], ["--witness", "--json"]):
+            code, out, err = run_cli(args + extra, capsys)
+            assert code == 2 and out.splitlines()[1:] == []
+            assert err.startswith("capacity error:") and "Traceback" not in err
+
+    def test_criteria_with_huge_m(self, capsys, monkeypatch):
+        monkeypatch.setattr(mfunc, "exponent_digits", self._unreachable)
+        code, out, err = run_cli(["criteria", "--q", str(2**62 + 1), "--n", "1",
+                                  "--z", "2"], capsys)
+        assert code == 0 and err == ""
+        assert f"R7 bound_attained :: m={2**61} divides q-1={2**62}" in out
+
 
 class TestImports:
     def test_cli_leaves_process_pool_unimported(self):

@@ -46,6 +46,21 @@ class TestFrobenius:
         stable = dims.index(alg.z)
         assert all(a < b for a, b in zip(dims[:stable], dims[1:stable + 1]))
 
+    def test_matches_repeated_products(self):
+        # the degree test against p - 1 products b_k * ... * b_k
+        for z in (2, 7, 15, 40, 60):
+            for key in subgroup_representatives(z):
+                alg = Algebra(key.q_rep, mult_order(key.q_rep % z, z), z)
+                for p in (2, 3, 5, 7, 61):
+                    want = [0]
+                    for k in range(1, z + 1):
+                        cur = k
+                        for _ in range(p - 1):
+                            if cur is not None:
+                                cur = alg.product_index(cur, k)
+                        want.append(cur)
+                    assert list(frobenius(alg, p).image) == want, (key, p)
+
     def test_rejects_composite(self):
         with pytest.raises(DomainError):
             frobenius(Algebra(3, 4, 40), 4)

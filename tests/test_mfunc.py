@@ -1,11 +1,14 @@
+from dataclasses import replace
 from math import gcd
 
 import pytest
 
+from loewy import mfunc
 from loewy.arith import cyclic_powers
 from loewy.errors import CapacityError, DomainError
 from loewy.mfunc import (
     DIGIT_SUM_CAPACITY,
+    WITNESS_CAPACITY,
     LargeMCase,
     classify_large_m,
     exponent_digits,
@@ -19,8 +22,13 @@ from loewy.mfunc import (
     m_via_z,
     render_m_grid_csv,
     render_m_groups,
+    residue_witness,
     small_e_candidates,
 )
+
+
+def unreachable(*args):
+    raise AssertionError("capacity check came after an allocation")
 
 
 def check_witness(result, q, e):
@@ -152,8 +160,21 @@ class TestViaZ:
 
     def test_witness_from_residues(self):
         result = m_via_z(3, 12, 70)
+        assert result.witness is None and result.k_min == 1
         e = (3**12 - 1) // 70
-        check_witness(result, 3, e)
+        witness = residue_witness(3, 12, 70, result)
+        check_witness(replace(result, witness=witness), 3, e)
+        assert witness == m_digit_scan(3, 12, e).witness
+
+    def test_witness_capacity(self, monkeypatch):
+        # m = 2^61 is computed, but its witness is refused before any digit
+        result = m_via_z(2**62 + 1, 1, 2)
+        assert (result.m, result.k_min) == (2**61, 1)
+        monkeypatch.setattr(mfunc, "exponent_digits", unreachable)
+        with pytest.raises(CapacityError):
+            residue_witness(2**62 + 1, 1, 2, result)
+        with pytest.raises(CapacityError):
+            residue_witness(3, 12, 70, replace(result, m=WITNESS_CAPACITY + 1))
 
     def test_rejects_bad_modulus(self):
         with pytest.raises(DomainError):
