@@ -44,7 +44,6 @@ from .mfunc import (
     classify_large_m,
     m_bfs,
     m_closed_form,
-    m_digit_scan,
     m_functional_equation,
     m_value,
     m_via_z,
@@ -76,7 +75,6 @@ __all__ = [
     "isomorphism_screen",
     "m_bfs",
     "m_closed_form",
-    "m_digit_scan",
     "m_functional_equation",
     "m_value",
     "m_via_z",

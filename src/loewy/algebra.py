@@ -23,7 +23,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .arith import cyclic_powers, order_dividing
+from .arith import cyclic_powers, order_dividing, resolve_z
 from .errors import CapacityError, DomainError
 from .mfunc import digit_sum_blocks, exponent_digits, m_via_z, residue_powers
 
@@ -146,14 +146,7 @@ class Algebra:
     k -> kq mod z (orbit_min[0] = 0, orbit_min[z] = z)."""
 
     def __init__(self, q: int, n: int, z: int):
-        if q < 2:
-            raise DomainError(f"q must be >= 2, got {q}")
-        if n < 1:
-            raise DomainError(f"n must be >= 1, got {n}")
-        if z < 1:
-            raise DomainError(f"z must be >= 1, got {z}")
-        if pow(q, n, z) != 1 % z:
-            raise DomainError(f"q^n is not 1 modulo z (q={q}, n={n}, z={z})")
+        resolve_z(q, n, z=z)
         if _BYTES_PER_INDEX * z > ALGEBRA_CAPACITY_BYTES:
             raise CapacityError(
                 f"z={z} needs {_BYTES_PER_INDEX * z} bytes of per-index arrays, "

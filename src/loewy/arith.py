@@ -1,6 +1,7 @@
-"""Exact integer arithmetic: base-q expansions and digit sums, multiplicative
-orders, cyclic powers and subgroups of the unit group, factorization and the
-standard arithmetic functions, cyclotomic values, and primality predicates.
+"""Exact integer arithmetic: the one resolver of the parameters (q, n, e, z)
+and the decimal codec of e, multiplicative orders, cyclic powers and
+subgroups of the unit group, factorization and the standard arithmetic
+functions, cyclotomic values, and primality predicates.
 
 Everything works on plain Python ints (arbitrary precision) and never touches
 floating point.
@@ -8,6 +9,8 @@ floating point.
 
 from __future__ import annotations
 
+import re
+from decimal import Decimal
 from math import gcd, isqrt
 
 from .errors import CapacityError, DomainError
@@ -20,47 +23,53 @@ _TRIAL_LIMIT = 10**7
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PRIME_GUARD = 1 << 64
 
+# The grammar int(text, 10) reads: Unicode digits in groups joined by single
+# underscores, an optional sign, surrounding whitespace.
+_DECIMAL_INT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
-def qadic_expand(x: int, q: int) -> list[int]:
-    """Base-q digits of x, least significant first. x = 0 gives []."""
+
+def resolve_z(q: int, n: int, *, e: int | None = None,
+              z: int | None = None) -> int:
+    """z = (q^n - 1)/e for A(q, n, e) = A[q, n, z], from e or z or both:
+    the one check that the parameters are consistent.  z alone is tested
+    with q^n = 1 mod z, without forming q^n.  e, z and q^n - 1 can be of
+    any size, so no message prints them."""
     if q < 2:
-        raise DomainError(f"base must be >= 2, got {q}")
-    if x < 0:
-        raise DomainError(f"expansion needs a nonnegative value, got {x}")
-    digits = []
-    while x:
-        x, r = divmod(x, q)
-        digits.append(r)
-    return digits
+        raise DomainError(f"q must be >= 2, got {q}")
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    if e is None and z is None:
+        raise DomainError("one of e, z is required")
+    if e is not None and z is not None and z * e != q**n - 1:
+        raise DomainError(f"inconsistent: z*e is not q^n - 1 (q={q}, n={n})")
+    if z is None:
+        top = q**n - 1
+        if e < 1 or top % e:
+            raise DomainError(f"e does not divide q^n - 1 (q={q}, n={n})")
+        return top // e
+    if z < 1:
+        raise DomainError("z must be >= 1")
+    if pow(q, n, z) != 1 % z:
+        raise DomainError(f"q^n is not 1 modulo z (q={q}, n={n})")
+    return z
 
 
-def digit_value(digits: list[int], q: int) -> int:
-    """Reconstruct the integer with the given base-q digits (LSB first)."""
-    if q < 2:
-        raise DomainError(f"base must be >= 2, got {q}")
-    value = 0
-    for d in reversed(digits):
-        value = value * q + d
-    return value
+def format_decimal(x: int) -> str:
+    """The decimal digits of x at any length; str(x) refuses beyond 4300."""
+    return str(Decimal(x))
 
 
-def digit_sum(x: int, q: int) -> int:
-    """Sum of the base-q digits of x."""
-    if q < 2:
-        raise DomainError(f"base must be >= 2, got {q}")
-    if x < 0:
-        raise DomainError(f"digit sum needs a nonnegative value, got {x}")
-    total = 0
-    while x:
-        x, r = divmod(x, q)
-        total += r
-    return total
+def parse_decimal(text: str) -> int:
+    """The integer int(text, 10) reads, at any length."""
+    if not _DECIMAL_INT.fullmatch(text):
+        raise DomainError(f"not a decimal integer: {text!r}")
+    return int(Decimal(text))
 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test for n < 2**64 (Miller-Rabin)."""
     if n >= _PRIME_GUARD:
-        raise CapacityError(f"primality test is deterministic only below 2^64, got {n}")
+        raise CapacityError("primality test is deterministic only below 2^64")
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -281,7 +290,7 @@ def prime_power_base(n: int) -> tuple[int, int] | None:
         r = iroot(n, k)
         if r**k == n:
             if r >= _PRIME_GUARD:
-                raise CapacityError(f"prime-power test beyond 2^64: {n}")
+                raise CapacityError("prime-power test beyond 2^64")
             if is_prime(r):
                 return r, k
             if k == 1:

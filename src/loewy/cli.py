@@ -15,52 +15,31 @@ from . import criteria as criteria_mod
 from . import database
 from . import mfunc
 from .algebra import Algebra
+from .arith import format_decimal, parse_decimal, resolve_z
 from .errors import CapacityError, DomainError
 from .invariants import invariant_report
 
 
 def _echo(args, names) -> None:
-    parts = [f"{name}={getattr(args, name)}" for name in names
-             if getattr(args, name, None) is not None]
+    parts = [f"{name}={format_decimal(value) if isinstance(value, int) else value}"
+             for name in names if (value := getattr(args, name, None)) is not None]
     print(f"# {args.command} " + " ".join(parts))
 
 
-def _parse_positive(text: str, what: str) -> int:
-    try:
-        value = int(text, 10)
-    except ValueError as exc:
-        raise DomainError(f"{what} must be a decimal integer, got {text!r}") from exc
-    if value < 0:
-        raise DomainError(f"{what} must be nonnegative, got {value}")
-    return value
-
-
-def _resolve_e_z(args, q: int, n: int | None):
-    """Return (e, z), honoring whichever of --e/--z was given; when both are
-    present they must be consistent with q^n - 1 = z * e."""
-    e = _parse_positive(args.e, "--e") if args.e is not None else None
-    z = args.z
-    if e is not None and z is not None:
-        if n is None:
-            raise DomainError("--n is required when both --e and --z are given")
-        if z * e != q**n - 1:
-            raise DomainError(f"inconsistent: z*e = {z * e} but q^n - 1 = {q**n - 1}")
-    return e, z
-
-
 def cmd_m(args) -> int:
-    q = args.q
-    e, z = _resolve_e_z(args, q, args.n)
-    if z is not None and args.n is not None:
-        result = mfunc.m_via_z(q, args.n, z)
-    elif e is not None:
-        result = mfunc.m_value(q, e)
-    else:
+    q, n, e, z = args.q, args.n, args.e, args.z
+    if n is not None:
+        resolve_z(q, n, e=e, z=z)
+    elif e is None or z is not None:
         raise DomainError("provide --e, or --z together with --n")
+    if z is not None:
+        result = mfunc.m_via_z(q, n, z)
+    else:
+        result = mfunc.m_value(q, e)
     witness = result.witness
     if args.witness and witness is None:
         if result.k_min is not None:
-            witness = mfunc.residue_witness(q, args.n, z, result)
+            witness = mfunc.residue_witness(q, n, z, result)
         else:
             witness = mfunc.m_bfs(q, e).witness
     print(f"m = {result.m}")
@@ -96,7 +75,7 @@ def _algebra_payload(alg: Algebra) -> dict:
     report = alg.bound_report()
     return {
         "q": alg.q, "n": alg.n, "z": alg.z,
-        "e": str(alg.e()),
+        "e": format_decimal(alg.e()),
         "m": report.m,
         "ll": report.ll,
         "bound": report.bound,
@@ -107,16 +86,8 @@ def _algebra_payload(alg: Algebra) -> dict:
 
 
 def cmd_algebra(args) -> int:
-    q = args.q
-    e, z = _resolve_e_z(args, q, args.n)
-    if z is None:
-        if e is None:
-            raise DomainError("provide --z (or --e)")
-        top = q**args.n - 1
-        if e < 1 or top % e:
-            raise DomainError(f"e={e} does not divide q^n - 1")
-        z = top // e
-    alg = Algebra(q, args.n, z)
+    z = resolve_z(args.q, args.n, e=args.e, z=args.z)
+    alg = Algebra(args.q, args.n, z)
     payload = _algebra_payload(alg)
     if args.json:
         print(json.dumps(payload, separators=(",", ":")))
@@ -138,9 +109,7 @@ def cmd_algebra(args) -> int:
 
 
 def cmd_criteria(args) -> int:
-    q = args.q
-    e, z = _resolve_e_z(args, q, args.n)
-    verdicts = criteria_mod.evaluate_criteria(q, args.n, e=e, z=z)
+    verdicts = criteria_mod.evaluate_criteria(args.q, args.n, e=args.e, z=args.z)
     for verdict in verdicts:
         print(verdict.render())
     if not verdicts:
@@ -214,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("m", help="compute m(q, e)")
     p.add_argument("--q", type=int, required=True, help="base q >= 2 (>= 1 for --e)")
-    p.add_argument("--e", type=str, help="modulus e (decimal, any size)")
+    p.add_argument("--e", type=parse_decimal, help="modulus e (decimal, any size)")
     p.add_argument("--n", type=int, help="exponent n (with --z)")
     p.add_argument("--z", type=int, help="cofactor z = (q^n - 1)/e")
     p.add_argument("--witness", action="store_true", help="print a witness exponent multiset")
@@ -235,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--z", type=int)
-    p.add_argument("--e", type=str, help="modulus e (decimal, any size)")
+    p.add_argument("--e", type=parse_decimal, help="modulus e (decimal, any size)")
     p.add_argument("--report", action="store_true", help="print the exponent-orbit table")
     p.add_argument("--invariants", action="store_true", help="print the invariant report")
     p.add_argument("--witness", type=int, metavar="K",
@@ -247,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--z", type=int)
-    p.add_argument("--e", type=str)
+    p.add_argument("--e", type=parse_decimal)
     p.set_defaults(func=cmd_criteria, echo=("q", "n", "z", "e"))
 
     p = sub.add_parser("scan", help="enumerate equivalence classes into a JSONL file")

@@ -15,10 +15,13 @@ from math import gcd, lcm
 from .arith import (
     cyclotomic_value,
     euler_phi,
+    format_decimal,
     is_pierpont_prime,
+    is_prime,
     mult_order,
     order_dividing,
     prime_power_base,
+    resolve_z,
 )
 from .errors import CapacityError, DomainError
 from .mfunc import BFS_CAPACITY, m_value, m_via_z
@@ -69,32 +72,15 @@ class Parameters:
 
 def resolve_parameters(q: int, n: int, *, e: int | None = None,
                        z: int | None = None) -> Parameters:
-    if q < 2:
-        raise DomainError(f"q must be >= 2, got {q}")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    top = q**n - 1
-    if e is None and z is None:
-        raise DomainError("one of e, z is required")
-    if e is not None:
-        if e < 1 or top % e:
-            raise DomainError(f"e={e} does not divide q^n - 1")
-        z_from_e = top // e
-        if z is not None and z != z_from_e:
-            raise DomainError(f"inconsistent parameters: z={z} but (q^n-1)/e={z_from_e}")
-        z = z_from_e
-    else:
-        if z < 1 or top % z:
-            raise DomainError(f"z={z} does not divide q^n - 1")
-        e = top // z
+    z = resolve_z(q, n, e=e, z=z)
+    e = (q**n - 1) // z
     if z <= _Z_RESIDUE_CAP and z < e:
         m = m_via_z(q, n, z).m
     elif e <= BFS_CAPACITY:
         m = m_value(q, e).m
-    elif z <= _Z_RESIDUE_CAP:
-        m = m_via_z(q, n, z).m
     else:
-        raise CapacityError(f"both z={z} and e={e} exceed the capacity guards")
+        raise CapacityError(f"z > {_Z_RESIDUE_CAP} and e > {BFS_CAPACITY}: "
+                            "beyond the capacity of both methods for m")
     nu = order_dividing(q, e, n)
     bound = n * (q - 1) // m + 1
     return Parameters(q=q, n=n, e=e, z=z, m=m, nu=nu, bound=bound)
@@ -160,7 +146,7 @@ def _r6(p: Parameters):
     if p.e != p.q**p.n - 1 and p.e % half == 0:
         return CriterionVerdict(
             "R6", "ll_equals", 3,
-            f"q^(n/2)-1 = {half} | e | q^n-1, e proper",
+            f"q^(n/2)-1 = {format_decimal(half)} | e | q^n-1, e proper",
         )
     return None
 
@@ -298,8 +284,10 @@ def _r17(p: Parameters):
     return CriterionVerdict("R17", "ll_equals", value, f"n=2, {why}")
 
 
+# R18 and R19 skip z >= 2^64, where primality is not certified.  Nothing is
+# lost: each hypothesis makes ord_z(q) >= (z-1)/2, and ord_z(q) divides n.
 def _r18(p: Parameters):
-    pp = prime_power_base(p.z) if p.z > 1 else None
+    pp = prime_power_base(p.z) if 1 < p.z < 1 << 64 else None
     if pp is None or pp[0] == 2:
         return None
     if mult_order(p.q % p.z, p.z) == euler_phi(p.z):
@@ -311,10 +299,8 @@ def _r18(p: Parameters):
 
 
 def _r19(p: Parameters):
-    from .arith import is_prime
-
     z = p.z
-    if z < 3 or not is_prime(z) or (z - 1) % 2:
+    if not 3 <= z < 1 << 64 or not is_prime(z) or (z - 1) % 2:
         return None
     if mult_order(p.q % z, z) != (z - 1) // 2:
         return None
@@ -349,7 +335,8 @@ def evaluate_criteria(q: int, n: int, *, e: int | None = None,
     if len(implied) > 1:
         detail = "; ".join(v.render() for v in verdicts)
         raise AssertionError(
-            f"contradicting verdicts for q={q}, n={n}, e={params.e}: {detail}"
+            f"contradicting verdicts for q={q}, n={n}, "
+            f"e={format_decimal(params.e)}: {detail}"
         )
     return verdicts
 

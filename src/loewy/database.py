@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .algebra import Algebra, same_table
-from .arith import cyclic_subgroups, mult_order
+from .arith import cyclic_subgroups, format_decimal, mult_order
 from .errors import CapacityError, DomainError
 from .invariants import invariant_report, report_difference
 
@@ -154,7 +154,7 @@ def compute_record(key: EquivKey) -> DbRecord:
     return DbRecord(
         key=key,
         n=n,
-        e_decimal=str(alg.e()),
+        e_decimal=format_decimal(alg.e()),
         m=report.m,
         ll=report.ll,
         bound=report.bound,

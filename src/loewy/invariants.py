@@ -4,8 +4,8 @@ The structure constants of the algebra are 0/1, so reduction modulo p never
 changes the multiplication table; only the linear algebra over F_p depends
 on p.  Every subspace handled here (radical powers, socle members, Frobenius
 kernels and images, their sums and products) is spanned by basis elements,
-so dimensions reduce to cardinalities of index sets.  A dense F_p rank
-oracle certifies that reduction for small dimensions.
+so dimensions reduce to cardinalities of index sets.  The tests certify that
+reduction for small dimensions against dense F_p ranks.
 """
 
 from __future__ import annotations
@@ -254,148 +254,3 @@ def pair_count(alg: Algebra, w_indices) -> int:
         total += 1 << (dim - rank)
     return total
 
-
-def pair_count_brute(alg: Algebra, w_indices) -> int:
-    """Independent oracle: enumerate all pairs (x, y) directly."""
-    dim = alg.z + 1
-    if dim > 12:
-        raise CapacityError("brute-force pair enumeration is 4^dim; dim > 12")
-    w = frozenset(w_indices)
-    not_w_mask = 0
-    for t in range(dim):
-        if t not in w:
-            not_w_mask |= 1 << t
-    cols = [[0] * dim for _ in range(dim)]  # cols[l][k] -> product bit rows
-    colmask = [0] * dim
-    product_of = [[None] * dim for _ in range(dim)]
-    for k in range(dim):
-        for l in range(dim):
-            product_of[k][l] = alg.product_index(k, l)
-    total = 0
-    for x in range(1 << dim):
-        xs = [k for k in range(dim) if (x >> k) & 1]
-        for y in range(1 << dim):
-            acc = 0
-            for l in range(dim):
-                if (y >> l) & 1:
-                    for k in xs:
-                        t = product_of[k][l]
-                        if t is not None:
-                            acc ^= 1 << t
-            if acc & not_w_mask == 0:
-                total += 1
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Dense F_p oracle: explicit multiplication/Frobenius matrices and ranks.
-# ---------------------------------------------------------------------------
-
-def _rref_rank_mod_p(matrix: np.ndarray, p: int) -> int:
-    a = np.array(matrix, dtype=np.int64) % p
-    rows, cols = a.shape
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if a[r, col] % p:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        a[[rank, pivot]] = a[[pivot, rank]]
-        inv = pow(int(a[rank, col]), -1, p)
-        a[rank] = a[rank] * inv % p
-        for r in range(rows):
-            if r != rank and a[r, col]:
-                a[r] = (a[r] - a[r, col] * a[rank]) % p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
-class DenseOracle:
-    """Explicit F_p linear algebra for an algebra of small dimension."""
-
-    def __init__(self, alg: Algebra, p: int):
-        if alg.z > 60:
-            raise CapacityError("dense oracle is meant for z <= 60")
-        if not is_prime(p):
-            raise DomainError(f"p must be prime, got {p}")
-        self.alg = alg
-        self.p = p
-        self.dim = alg.z + 1
-
-    def multiplication_matrix(self, k: int) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for l in range(self.dim):
-            t = self.alg.product_index(k, l)
-            if t is not None:
-                out[t, l] = 1
-        return out
-
-    def frobenius_matrix(self) -> np.ndarray:
-        """Matrix of x -> x^p on the radical (F_p-linear since the basis
-        products are 0/1 and cross terms carry binomial coefficients
-        divisible by p)."""
-        out = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for k in range(1, self.dim):
-            cur = k
-            ok = True
-            for _ in range(self.p - 1):
-                cur = self.alg.product_index(cur, k)
-                if cur is None:
-                    ok = False
-                    break
-            if ok:
-                out[cur, k] = 1
-        return out
-
-    def span_dim(self, vectors: np.ndarray) -> int:
-        if vectors.size == 0:
-            return 0
-        return _rref_rank_mod_p(vectors, self.p)
-
-    def kernel_dim(self, matrix: np.ndarray, domain_indices) -> int:
-        cols = sorted(domain_indices)
-        if not cols:
-            return 0
-        sub = matrix[:, cols]
-        return len(cols) - _rref_rank_mod_p(sub.T, self.p)
-
-    def frobenius_kernel_dims(self, k_max: int) -> list[int]:
-        frob = self.frobenius_matrix()
-        radical = list(range(1, self.dim))
-        dims = []
-        power = np.eye(self.dim, dtype=np.int64)
-        for _ in range(k_max):
-            power = power @ frob % self.p
-            dims.append(self.kernel_dim(power, radical))
-        return dims
-
-    def frobenius_image_dim(self) -> int:
-        frob = self.frobenius_matrix()
-        radical = list(range(1, self.dim))
-        return len(radical) - self.kernel_dim(frob, radical)
-
-    def annihilator_dim(self, index_set) -> int:
-        """dim of {x in A : x * span(indices) = 0}."""
-        blocks = [self.multiplication_matrix(l) for l in sorted(index_set)]
-        if not blocks:
-            return self.dim
-        stacked = np.vstack(blocks)
-        return self.dim - _rref_rank_mod_p(stacked.T, self.p)
-
-    def product_span_dim(self, left, right) -> int:
-        vecs = []
-        for k in left:
-            for l in right:
-                t = self.alg.product_index(k, l)
-                if t is not None:
-                    row = np.zeros(self.dim, dtype=np.int64)
-                    row[t] = 1
-                    vecs.append(row)
-        if not vecs:
-            return 0
-        return self.span_dim(np.array(vecs))

@@ -1,11 +1,12 @@
 """The function m(q, e): the least number of powers of q whose sum is
 divisible by e.
 
-Three independent general algorithms are provided (bitset layer BFS on Z/e,
-digit-sum scan over multiples of e, and the residue-sum formula working
-entirely modulo z), plus a catalogue of closed-form fast paths and the
-classification of the pairs with m >= e/3.  The general algorithms serve as
-oracles for one another and for every closed form.  The residue-sum kernel,
+Two independent general algorithms are provided (bitset layer BFS on Z/e,
+and the residue-sum formula working entirely modulo z), plus a catalogue of
+closed-form fast paths and the classification of the pairs with m >= e/3.
+The general algorithms serve as oracles for one another and for every
+closed form; the tests add a third, a digit-sum scan over the multiples of
+e in full-width integers.  The residue-sum kernel,
 `digit_sum_blocks`, also gives `Algebra` the degrees of its basis monomials.
 """
 
@@ -20,14 +21,14 @@ import numpy as np
 from .arith import (
     cyclic_powers,
     cyclic_subgroups,
-    digit_sum,
     divisors,
     euler_phi,
+    format_decimal,
     is_pierpont_prime,
     is_prime,
     mult_order,
     prime_power_base,
-    qadic_expand,
+    resolve_z,
 )
 from .errors import CapacityError, DomainError
 
@@ -79,14 +80,15 @@ _LARGE_M_TABLE = {
 
 def _require_positive(name: str, value: int) -> None:
     if value < 1:
-        raise DomainError(f"{name} must be >= 1, got {value}")
+        raise DomainError(f"{name} must be >= 1, got {format_decimal(value)}")
 
 
 def _require_coprime(q: int, e: int) -> None:
     _require_positive("e", e)
     _require_positive("q", q)
     if gcd(q, e) != 1:
-        raise DomainError(f"q and e must be coprime, got q={q}, e={e}")
+        raise DomainError(f"q and e must be coprime, got q={format_decimal(q)}, "
+                          f"e={format_decimal(e)}")
 
 
 def m_bfs(q: int, e: int) -> MResult:
@@ -98,7 +100,7 @@ def m_bfs(q: int, e: int) -> MResult:
     _require_coprime(q, e)
     if e > BFS_CAPACITY:
         raise CapacityError(
-            f"e={e} exceeds the BFS table capacity {BFS_CAPACITY}; "
+            f"e={format_decimal(e)} exceeds the BFS table capacity {BFS_CAPACITY}; "
             "use the residue method with (q, n, z)"
         )
     if e == 1:
@@ -132,31 +134,6 @@ def m_bfs(q: int, e: int) -> MResult:
         v = int(prev[i])
     out.append(powers.index(v))
     return MResult(m=t, method="bfs", witness=tuple(sorted(out)))
-
-
-def m_digit_scan(q: int, n: int, e: int) -> MResult:
-    """Minimum base-q digit sum of k*e over k = 1..z, z = (q^n - 1)/e.
-
-    Works in full-width exact arithmetic; kept as an independent oracle for
-    the residue method.
-    """
-    if q < 2:
-        raise DomainError(f"q must be >= 2, got {q}")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    top = q**n - 1
-    if e < 1 or top % e:
-        raise DomainError(f"e={e} does not divide q^n - 1 = {top}")
-    z = top // e
-    best = None
-    best_k = None
-    for k in range(1, z + 1):
-        s = digit_sum(k * e, q)
-        if best is None or s < best:
-            best, best_k = s, k
-    digits = qadic_expand(best_k * e, q)
-    witness = tuple(sorted(i for i, d in enumerate(digits) for _ in range(d)))
-    return MResult(m=best, method="digit_scan", witness=witness, k_min=best_k)
 
 
 def residue_powers(q: int, n: int, z: int) -> np.ndarray:
@@ -201,14 +178,7 @@ def m_via_z(q: int, n: int, z: int) -> MResult:
     1 <= k < z, from `digit_sum_blocks`, so e itself is never formed.
     k_min is the smallest minimizing k; `residue_witness` expands it into
     exponents on request."""
-    if q < 2:
-        raise DomainError(f"q must be >= 2, got {q}")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if z < 1:
-        raise DomainError(f"z must be >= 1, got {z}")
-    if pow(q, n, z) != 1 % z:
-        raise DomainError(f"q^n is not 1 modulo z (q={q}, n={n}, z={z})")
+    resolve_z(q, n, z=z)
     powers = residue_powers(q, n, z)
     # only z*e = q^n - 1 has all digits q - 1, so every k < z lies below
     # this start, and z = 1 keeps it
@@ -642,15 +612,3 @@ def render_m_groups(e_range, *, by: str = "residues") -> str:
         lines.append(f"{e}; " + "; ".join(parts))
     return "\n".join(lines) + "\n"
 
-
-def m_by_subgroup(e: int) -> dict[int, int]:
-    """q_rep -> m(q_rep, e) for the smallest generator of every cyclic
-    subgroup of (Z/e)^x, with e + 1 standing in for the trivial subgroup.
-    Used by validation sweeps; m is constant on subgroups."""
-    out = {e + 1: e if e > 1 else 1}
-    if e <= 2:
-        return out
-    for q, sub in sorted(cyclic_subgroups(e)):
-        if len(sub) > 1:
-            out[q] = m_bfs(q, e).m
-    return out

@@ -1,3 +1,6 @@
+"""Validation oracles: independent, slow, full-width implementations that
+the tests compare the package against.  None of them is part of `loewy`."""
+
 import sys
 from pathlib import Path
 
@@ -5,7 +8,76 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import numpy as np  # noqa: E402
 
-from loewy.arith import cyclic_powers, qadic_expand  # noqa: E402
+from loewy.arith import cyclic_powers, cyclic_subgroups, is_prime, resolve_z  # noqa: E402
+from loewy.errors import CapacityError, DomainError  # noqa: E402
+from loewy.mfunc import MResult, m_bfs  # noqa: E402
+
+
+def qadic_expand(x: int, q: int) -> list[int]:
+    """Base-q digits of x, least significant first. x = 0 gives []."""
+    if q < 2:
+        raise DomainError(f"base must be >= 2, got {q}")
+    if x < 0:
+        raise DomainError(f"expansion needs a nonnegative value, got {x}")
+    digits = []
+    while x:
+        x, r = divmod(x, q)
+        digits.append(r)
+    return digits
+
+
+def digit_value(digits: list[int], q: int) -> int:
+    """Reconstruct the integer with the given base-q digits (LSB first)."""
+    if q < 2:
+        raise DomainError(f"base must be >= 2, got {q}")
+    value = 0
+    for d in reversed(digits):
+        value = value * q + d
+    return value
+
+
+def digit_sum(x: int, q: int) -> int:
+    """Sum of the base-q digits of x."""
+    if q < 2:
+        raise DomainError(f"base must be >= 2, got {q}")
+    if x < 0:
+        raise DomainError(f"digit sum needs a nonnegative value, got {x}")
+    total = 0
+    while x:
+        x, r = divmod(x, q)
+        total += r
+    return total
+
+
+def m_digit_scan(q: int, n: int, e: int) -> MResult:
+    """Minimum base-q digit sum of k*e over k = 1..z, z = (q^n - 1)/e.
+
+    Works in full-width exact arithmetic; an independent oracle for the
+    residue method.
+    """
+    z = resolve_z(q, n, e=e)
+    best = None
+    best_k = None
+    for k in range(1, z + 1):
+        s = digit_sum(k * e, q)
+        if best is None or s < best:
+            best, best_k = s, k
+    digits = qadic_expand(best_k * e, q)
+    witness = tuple(sorted(i for i, d in enumerate(digits) for _ in range(d)))
+    return MResult(m=best, method="digit_scan", witness=witness, k_min=best_k)
+
+
+def m_by_subgroup(e: int) -> dict[int, int]:
+    """q_rep -> m(q_rep, e) for the smallest generator of every cyclic
+    subgroup of (Z/e)^x, with e + 1 standing in for the trivial subgroup.
+    Used by validation sweeps; m is constant on subgroups."""
+    out = {e + 1: e if e > 1 else 1}
+    if e <= 2:
+        return out
+    for q, sub in sorted(cyclic_subgroups(e)):
+        if len(sub) > 1:
+            out[q] = m_bfs(q, e).m
+    return out
 
 
 def exact_exponent_vector(q: int, n: int, z: int, k: int) -> list[int]:
@@ -53,3 +125,143 @@ def quadratic_loewy_layers(alg) -> np.ndarray:
     left = np.arange(1, z, dtype=np.int64)
     lam[z] = int((lam[left] + lam[z - left]).max())
     return lam
+
+
+def pair_count_brute(alg, w_indices) -> int:
+    """Independent oracle: enumerate all pairs (x, y) directly."""
+    dim = alg.z + 1
+    if dim > 12:
+        raise CapacityError("brute-force pair enumeration is 4^dim; dim > 12")
+    w = frozenset(w_indices)
+    not_w_mask = 0
+    for t in range(dim):
+        if t not in w:
+            not_w_mask |= 1 << t
+    product_of = [[None] * dim for _ in range(dim)]
+    for k in range(dim):
+        for l in range(dim):
+            product_of[k][l] = alg.product_index(k, l)
+    total = 0
+    for x in range(1 << dim):
+        xs = [k for k in range(dim) if (x >> k) & 1]
+        for y in range(1 << dim):
+            acc = 0
+            for l in range(dim):
+                if (y >> l) & 1:
+                    for k in xs:
+                        t = product_of[k][l]
+                        if t is not None:
+                            acc ^= 1 << t
+            if acc & not_w_mask == 0:
+                total += 1
+    return total
+
+
+def _rref_rank_mod_p(matrix: np.ndarray, p: int) -> int:
+    a = np.array(matrix, dtype=np.int64) % p
+    rows, cols = a.shape
+    rank = 0
+    for col in range(cols):
+        pivot = None
+        for r in range(rank, rows):
+            if a[r, col] % p:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        a[[rank, pivot]] = a[[pivot, rank]]
+        inv = pow(int(a[rank, col]), -1, p)
+        a[rank] = a[rank] * inv % p
+        for r in range(rows):
+            if r != rank and a[r, col]:
+                a[r] = (a[r] - a[r, col] * a[rank]) % p
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+class DenseOracle:
+    """Explicit F_p linear algebra for an algebra of small dimension."""
+
+    def __init__(self, alg, p: int):
+        if alg.z > 60:
+            raise CapacityError("dense oracle is meant for z <= 60")
+        if not is_prime(p):
+            raise DomainError(f"p must be prime, got {p}")
+        self.alg = alg
+        self.p = p
+        self.dim = alg.z + 1
+
+    def multiplication_matrix(self, k: int) -> np.ndarray:
+        out = np.zeros((self.dim, self.dim), dtype=np.int64)
+        for l in range(self.dim):
+            t = self.alg.product_index(k, l)
+            if t is not None:
+                out[t, l] = 1
+        return out
+
+    def frobenius_matrix(self) -> np.ndarray:
+        """Matrix of x -> x^p on the radical (F_p-linear since the basis
+        products are 0/1 and cross terms carry binomial coefficients
+        divisible by p)."""
+        out = np.zeros((self.dim, self.dim), dtype=np.int64)
+        for k in range(1, self.dim):
+            cur = k
+            ok = True
+            for _ in range(self.p - 1):
+                cur = self.alg.product_index(cur, k)
+                if cur is None:
+                    ok = False
+                    break
+            if ok:
+                out[cur, k] = 1
+        return out
+
+    def span_dim(self, vectors: np.ndarray) -> int:
+        if vectors.size == 0:
+            return 0
+        return _rref_rank_mod_p(vectors, self.p)
+
+    def kernel_dim(self, matrix: np.ndarray, domain_indices) -> int:
+        cols = sorted(domain_indices)
+        if not cols:
+            return 0
+        sub = matrix[:, cols]
+        return len(cols) - _rref_rank_mod_p(sub.T, self.p)
+
+    def frobenius_kernel_dims(self, k_max: int) -> list[int]:
+        frob = self.frobenius_matrix()
+        radical = list(range(1, self.dim))
+        dims = []
+        power = np.eye(self.dim, dtype=np.int64)
+        for _ in range(k_max):
+            power = power @ frob % self.p
+            dims.append(self.kernel_dim(power, radical))
+        return dims
+
+    def frobenius_image_dim(self) -> int:
+        frob = self.frobenius_matrix()
+        radical = list(range(1, self.dim))
+        return len(radical) - self.kernel_dim(frob, radical)
+
+    def annihilator_dim(self, index_set) -> int:
+        """dim of {x in A : x * span(indices) = 0}."""
+        blocks = [self.multiplication_matrix(l) for l in sorted(index_set)]
+        if not blocks:
+            return self.dim
+        stacked = np.vstack(blocks)
+        return self.dim - _rref_rank_mod_p(stacked.T, self.p)
+
+    def product_span_dim(self, left, right) -> int:
+        vecs = []
+        for k in left:
+            for l in right:
+                t = self.alg.product_index(k, l)
+                if t is not None:
+                    row = np.zeros(self.dim, dtype=np.int64)
+                    row[t] = 1
+                    vecs.append(row)
+        if not vecs:
+            return 0
+        return self.span_dim(np.array(vecs))

@@ -8,7 +8,13 @@ from math import gcd
 import numpy as np
 import pytest
 
-from conftest import exact_exponent_vector, quadratic_loewy_layers
+from conftest import (
+    DenseOracle,
+    exact_exponent_vector,
+    m_by_subgroup,
+    m_digit_scan,
+    quadratic_loewy_layers,
+)
 from data.m_small_grid import (
     E31_RESIDUE_GROUPS,
     E32_RESIDUE_GROUPS,
@@ -18,13 +24,11 @@ from data.m_small_grid import (
 from loewy.algebra import Algebra, same_table, validity_table
 from loewy.arith import divisors, factorize, is_prime, mult_order, prime_power_base
 from loewy.database import scan_records, scan_to_file, stats, subgroup_representatives
-from loewy.invariants import DenseOracle, frobenius_image_set, radical_power, set_product, socle_series
+from loewy.invariants import frobenius_image_set, radical_power, set_product, socle_series
 from loewy.mfunc import (
     classify_large_m,
     m_bfs,
-    m_by_subgroup,
     m_closed_form,
-    m_digit_scan,
     m_grid,
     m_groups_by_generator,
     m_groups_by_residue,

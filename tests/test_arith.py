@@ -4,23 +4,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import digit_sum, digit_value, qadic_expand
 from loewy.arith import (
     cyclic_powers,
     cyclic_subgroups,
     cyclotomic_value,
-    digit_sum,
-    digit_value,
     divisors,
     euler_phi,
     factorize,
+    format_decimal,
     iroot,
     is_pierpont_prime,
     is_prime,
     moebius,
     mult_order,
     order_dividing,
+    parse_decimal,
     prime_power_base,
-    qadic_expand,
+    resolve_z,
 )
 from loewy.errors import CapacityError, DomainError
 
@@ -144,6 +145,8 @@ def test_is_prime_deterministic_range():
     assert not is_prime(3215031751)  # strong pseudoprime to first four bases
     with pytest.raises(CapacityError):
         is_prime(1 << 65)
+    with pytest.raises(CapacityError):  # its message does not print n
+        is_prime(2**15000 - 1)
 
 
 def test_cyclotomic_values():
@@ -180,3 +183,69 @@ def test_iroot_and_prime_power_base():
     assert prime_power_base(1) is None
     assert prime_power_base(12) is None
     assert prime_power_base(97) == (97, 1)
+
+
+class TestResolveZ:
+    def test_from_e_z_or_both(self):
+        assert resolve_z(3, 12, e=7592) == 70
+        assert resolve_z(3, 12, z=70) == 70
+        assert resolve_z(3, 12, e=7592, z=70) == 70
+        assert resolve_z(2, 3, e=7) == 1
+
+    @pytest.mark.parametrize("q,n,kwargs", [
+        (3, 12, {}),
+        (3, 12, {"e": 11}),  # ord_11(3) = 5 does not divide 12
+        (3, 12, {"e": 0}),
+        (3, 12, {"e": -7592}),
+        (3, 12, {"z": 71}),
+        (3, 12, {"z": 0}),
+        (3, 12, {"z": -70, "e": -7592}),
+        (1, 12, {"z": 1}),
+        (3, 0, {"z": 1}),
+    ])
+    def test_rejects(self, q, n, kwargs):
+        with pytest.raises(DomainError):
+            resolve_z(q, n, **kwargs)
+
+    def test_inconsistency_is_checked_first(self):
+        # 7593 does not divide 3^12 - 1 either; the message names the pair
+        with pytest.raises(DomainError, match="inconsistent"):
+            resolve_z(3, 12, e=7593, z=70)
+
+    def test_messages_print_no_huge_integer(self):
+        for kwargs in ({"e": 7, "z": 3}, {"e": 2**15000 + 1}, {"z": 2**15000 + 1}):
+            with pytest.raises(DomainError) as info:
+                resolve_z(2, 15000, **kwargs)
+            assert len(str(info.value)) < 80
+
+    def test_z_alone_never_forms_q_to_the_n(self):
+        assert resolve_z(2, 10**18, z=3) == 3
+
+
+class TestDecimalCodec:
+    @pytest.mark.parametrize("text", [
+        "12", " 12 ", "+12", "-12", "0012", "-0", "\t3\n", "\u2003 7\u2003",
+        "1_000", "1_2_3", "\u0661\u0662", "\uff11\uff12",
+        "1__0", "_1", "1_", "+_1", "--1", "+-1", "1 2", "", " ",
+        "0x21", "1e5", "1E0", "12.0", ".5", "5.", "nan", "inf", "Infinity",
+    ])
+    def test_parse_accepts_what_int_accepts(self, text):
+        try:
+            expected = int(text, 10)
+        except ValueError:
+            with pytest.raises(DomainError):
+                parse_decimal(text)
+        else:
+            assert parse_decimal(text) == expected
+
+    @given(st.integers(-10**60, 10**60))
+    def test_round_trip(self, x):
+        assert format_decimal(x) == str(x)
+        assert parse_decimal(str(x)) == x
+
+    def test_beyond_4300_digits(self):
+        x = 2**15000 - 1
+        text = format_decimal(x)
+        assert len(text) == 4516 and text.startswith("28179608796") and text.endswith("9375")
+        assert parse_decimal(text) == x
+        assert format_decimal(-x) == "-" + text

@@ -6,9 +6,12 @@ from pathlib import Path
 import pytest
 
 from loewy import algebra, mfunc
+from loewy.arith import format_decimal, parse_decimal
 from loewy.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
+# 2^15000 - 1 has 4516 digits; str() refuses ints beyond 4300
+E_15000 = format_decimal(2**15000 - 1)
 
 
 def run_cli(args, capsys):
@@ -114,6 +117,95 @@ class TestCapacity:
                                   "--z", "2"], capsys)
         assert code == 0 and err == ""
         assert f"R7 bound_attained :: m={2**61} divides q-1={2**62}" in out
+
+
+class TestResolution:
+    def test_m_checks_n_against_e(self, capsys):
+        code, out, err = run_cli(["m", "--q", "2", "--e", "7", "--n", "5"], capsys)
+        assert code == 1 and out.splitlines()[1:] == []
+        assert err.startswith("error: e does not divide")
+        code, out, _ = run_cli(["m", "--q", "2", "--e", "7", "--n", "3"], capsys)
+        assert code == 0 and out.splitlines()[1:] == ["m = 3"]
+
+    def test_criteria_beyond_64_bits(self, capsys):
+        # z = (5^40 - 1)/33 >= 2^64: R18 and R19 decline instead of refusing
+        code, out, err = run_cli(["criteria", "--q", "5", "--n", "40",
+                                  "--e", "33"], capsys)
+        assert code == 0 and err == ""
+        assert ("R16 gap_formula(epsilon=0) :: (q,e) = (5,33), n = 10 (mod 30)"
+                in out.splitlines())
+
+    def test_e_beyond_4300_digits(self, capsys):
+        lines = []
+        for given in (["--z", "1"], ["--e", E_15000]):
+            code, out, err = run_cli(["algebra", "--q", "2", "--n", "15000",
+                                      *given], capsys)
+            assert code == 0 and err == ""
+            lines.append([line for line in out.splitlines() if line.startswith("e = ")])
+        assert lines[0] == lines[1] == [f"e = {E_15000}"]
+
+    def test_scan_with_4508_digit_e(self, tmp_path, capsys):
+        db = tmp_path / "db.jsonl"
+        code, _, err = run_cli(["scan", "--zmin", "3361", "--zmax", "3361",
+                                "--out", str(db)], capsys)
+        assert code == 0 and err == ""
+        records = [json.loads(line) for line in db.read_text().splitlines()]
+        assert len(records) == 48
+        assert max(len(rec["e"]) for rec in records) == 4508
+        for rec in records:
+            assert parse_decimal(rec["e"]) * 3361 == rec["q"] ** rec["n"] - 1
+
+
+def _ident(args):
+    return " ".join(a if len(a) <= 12 else f"<{len(a)} digits>" for a in args)
+
+
+# Every run ends with one message and exit code 0, 1 or 2, never a traceback.
+NO_TRACEBACK = [
+    *[(cmd, args, code)
+      for cmd in ("algebra", "m", "criteria")
+      for args, code in [
+          (["--q", "2", "--n", "15000", "--e", "7", "--z", "3"], 1),
+          (["--q", "0", "--n", "4", "--z", "5"], 1),
+          (["--q", "-3", "--n", "4", "--z", "5"], 1),
+          (["--q", "2", "--n", "0", "--z", "3"], 1),
+          (["--q", "2", "--n", "-4", "--z", "3"], 1),
+          (["--q", "2", "--n", "4", "--z", "0"], 1),
+          (["--q", "2", "--n", "4", "--z", "-3"], 1),
+          (["--q", "2", "--n", "4", "--e", "0"], 1),
+          (["--q", "2", "--n", "4", "--e", "-5"], 1),
+          (["--q", "3", "--n", "12", "--z", "-70", "--e", "-7592"], 1),
+          (["--q", "2", "--n", "4", "--e", "-" + E_15000], 1),
+          (["--q", "2", "--n", "4"], 1),
+      ]],
+    ("algebra", ["--q", "2", "--n", "15000", "--e", E_15000], 0),
+    ("m", ["--q", "2", "--n", "15000", "--e", E_15000], 2),
+    ("criteria", ["--q", "5", "--n", "40", "--e", "33"], 0),
+    ("criteria", ["--q", "2", "--n", "15000", "--e", "7"], 0),
+    ("criteria", ["--q", "2", "--n", "30000", "--e", E_15000], 2),
+    ("algebra", ["--q", "2", "--n", "15000", "--z", "1"], 0),
+    ("m", ["--q", "2", "--e", "7", "--n", "5"], 1),
+    ("m", ["--q", "0", "--e", "5"], 1),
+    ("m", ["--q", "-2", "--e", "5"], 1),
+    ("m", ["--q", "5", "--e", "0"], 1),
+    ("m", ["--q", "5", "--e", "-33"], 1),
+    ("m", ["--q", "2", "--e", "-" + E_15000], 1),
+    ("m", ["--q", "3", "--e", E_15000], 1),
+    ("m", ["--q", "2", "--e", E_15000], 2),
+    ("m", ["--q", "2", "--e", "1e5"], 1),
+    ("m", ["--q", "2", "--z", "7"], 1),
+    ("m", ["--q", "2", "--e", "7", "--z", "3"], 1),
+    ("scan", ["--zmin", "0", "--zmax", "3", "--out", "unused.jsonl"], 1),
+    ("scan", ["--zmin", "-3", "--zmax", "3", "--out", "unused.jsonl"], 1),
+]
+
+
+@pytest.mark.parametrize("cmd,args,expected", NO_TRACEBACK,
+                         ids=[_ident([c, *a]) for c, a, _ in NO_TRACEBACK])
+def test_no_traceback(cmd, args, expected, capsys):
+    code, _, err = run_cli([cmd, *args], capsys)
+    assert code == expected
+    assert "Traceback" not in err and err.count("\n") == (code != 0)
 
 
 class TestImports:

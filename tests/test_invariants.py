@@ -1,11 +1,11 @@
 import pytest
 
+from conftest import DenseOracle, pair_count_brute
 from loewy.algebra import Algebra
 from loewy.arith import mult_order
 from loewy.database import subgroup_representatives
 from loewy.errors import CapacityError, DomainError
 from loewy.invariants import (
-    DenseOracle,
     duality_check,
     frobenius,
     frobenius_image_set,
@@ -13,7 +13,6 @@ from loewy.invariants import (
     ideal_dims_profile,
     invariant_report,
     pair_count,
-    pair_count_brute,
     radical_power,
     report_difference,
     set_product,

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from conftest import m_digit_scan
 from loewy import mfunc
 from loewy.arith import cyclic_powers
 from loewy.errors import CapacityError, DomainError
@@ -14,7 +15,6 @@ from loewy.mfunc import (
     exponent_digits,
     m_bfs,
     m_closed_form,
-    m_digit_scan,
     m_functional_equation,
     m_groups_by_generator,
     m_groups_by_residue,

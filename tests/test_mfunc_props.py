@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import m_by_subgroup, m_digit_scan
 from loewy.arith import is_prime, mult_order
 from loewy.mfunc import (
     classify_large_m,
     m_bfs,
-    m_by_subgroup,
     m_closed_form,
-    m_digit_scan,
     m_value,
     m_via_z,
 )
