@@ -14,6 +14,13 @@ b_{kq mod z}, so the Loewy layer is constant on the orbits of k -> kq mod z.
 The same pass that computes the degrees records each index's orbit minimum;
 the Loewy DP runs once per orbit, at its minimum, and witnesses find their
 factors on demand from the layers and degrees.
+
+`loewy_profiles` runs that DP in lockstep for a batch of algebras: their
+degrees and orbit minima are stacked into padded (batch, z_max + 1) arrays,
+each minimum value k is visited once for the whole batch, and one 2-D step
+scans the splits of every row with an orbit of minimum k.  A scan computes
+hundreds of small algebras per batch this way; `Algebra.loewy_profile` is a
+batch of one, which runs on views of its own arrays.
 """
 
 from __future__ import annotations
@@ -43,7 +50,9 @@ class LoewyProfile:
     k -> kq mod z.  loewy_vector = (1, c_1, ..., c_L) with
     c_t = #{k >= 1 : lam[k] = t}; ll = lam[z] + 1.  irreducibles are the
     k >= 1 with lam[k] = 1, ascending.  Maximal factorizations are not
-    stored: `Algebra.left_factor` finds each factor on demand.
+    stored: `Algebra.left_factor` finds each factor on demand.  Profiles
+    come from `loewy_profiles`, one lockstep DP per batch of algebras;
+    whatever the batch, each algebra gets the profile of its batch of one.
     """
 
     lam: np.ndarray
@@ -227,38 +236,7 @@ class Algebra:
         return self._profile
 
     def _compute_profile(self) -> LoewyProfile:
-        z, deg = self.z, self.degrees
-        lam = np.zeros(z + 1, dtype=np.int64)
-        # lam[k] is the best lam[i] + lam[k-i] over the valid splits with
-        # i <= k/2, or 1 when there is none; refining both factors into
-        # irreducibles shows this equals the best over irreducible left
-        # factors.  lam is constant on orbits, so the DP visits each orbit
-        # once, at its minimum, in ascending order: every index below the
-        # minimum lies in an orbit already done.  Sorted by orbit_min, each
-        # orbit is one run of `order`, and the run of {0} comes first, with
-        # no start.  For k = z every split is valid.
-        order = np.argsort(self.orbit_min)
-        ordered = self.orbit_min[order]
-        starts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
-        minima = ordered[starts].tolist()
-        del ordered
-        stops = starts[1:].tolist() + [z + 1]
-        best = np.maximum.reduce
-        for k, start, stop in zip(minima, starts.tolist(), stops):
-            h = k // 2
-            valid = deg[1:h + 1] + deg[k - 1:k - h - 1:-1] == deg[k]
-            lam[order[start:stop]] = best(lam[1:h + 1] + lam[k - 1:k - h - 1:-1],
-                                          where=valid, initial=1)
-
-        counts = np.bincount(lam[1:])
-        top = int(lam[z])
-        if top != int(lam.max()):
-            raise AssertionError("socle index must attain the maximal layer")
-        vector = (1,) + tuple(int(counts[t]) for t in range(1, top + 1))
-        if sum(vector) != z + 1:
-            raise AssertionError("Loewy vector does not sum to the dimension")
-        irreducibles = tuple((np.flatnonzero(lam[1:] == 1) + 1).tolist())
-        return LoewyProfile(lam, vector, top + 1, irreducibles)
+        return _lockstep_dp([self])[0]
 
     def loewy_vector(self) -> tuple[int, ...]:
         return self.loewy_profile().loewy_vector
@@ -359,6 +337,97 @@ class Algebra:
                 and all(c == 1 for c in vector[2:])
             ),
         }
+
+
+# ---------------------------------------------------------------------------
+# The Loewy DP, run in lockstep over a batch of algebras.
+# ---------------------------------------------------------------------------
+
+def loewy_profiles(algs) -> list[LoewyProfile]:
+    """The Loewy profiles of a batch of algebras, in order.  The algebras
+    without a cached profile go through one lockstep DP together, and
+    their profiles are cached."""
+    todo = [alg for alg in algs if alg._profile is None]
+    if todo:
+        for alg, profile in zip(todo, _lockstep_dp(todo)):
+            alg._profile = profile
+    return [alg._profile for alg in algs]
+
+
+def _stacked(arrays, width: int, fill: int) -> np.ndarray:
+    """The arrays as the rows of one (len(arrays), width) int64 array,
+    padded with fill; a single array is returned as a (1, z + 1) view."""
+    if len(arrays) == 1:
+        return arrays[0][None, :]
+    out = np.full((len(arrays), width), fill, dtype=np.int64)
+    for row, values in zip(out, arrays):
+        row[:len(values)] = values
+    return out
+
+
+def _lockstep_dp(algs) -> list[LoewyProfile]:
+    """Compute the Loewy profiles of a nonempty batch of algebras.
+
+    lam[k] is the best lam[i] + lam[k-i] over the valid splits with
+    i <= k/2, or 1 when there is none; refining both factors into
+    irreducibles shows this equals the best over irreducible left factors.
+    lam is constant on orbits, so the DP visits each orbit once, at its
+    minimum, in ascending order: every index below the minimum lies in an
+    orbit already done.  For k = z every split is valid.
+
+    The batch shares one padded (rows, z_max + 1) array per quantity, and
+    each minimum value k is visited once for all rows: the splits of the
+    rows r0..r1 that hold orbits with minimum k are scanned in one step on
+    a slice, and each such row's result is written over its orbits.  Rows
+    in between without such an orbit compute a result nobody reads.  A
+    step of one row runs on 1-D views, so a batch of one runs on views of
+    its own degree array."""
+    rows = len(algs)
+    width = max(alg.z for alg in algs) + 1
+    deg = _stacked([alg.degrees for alg in algs], width, 0)
+    # padding sorts after every index, so the cells 1..z of all rows come
+    # right after the rows' index 0 (orbit minimum 0)
+    omin = _stacked([alg.orbit_min for alg in algs], width, width).reshape(-1)
+    lam = np.zeros((rows, width), dtype=np.int64)
+    flat = lam.reshape(-1)
+    views = list(zip(deg, lam))
+
+    # Sorted by orbit minimum, the cells with minimum k are one run
+    # cells[start:stop] of flat indices, from the rows r0..r1.
+    cells = np.argsort(omin)[rows:rows + sum(alg.z for alg in algs)]
+    value = omin[cells]
+    steps = np.flatnonzero(np.diff(value, prepend=0))
+    minima = value[steps].tolist()
+    del value
+    row = cells // width
+    r0 = np.minimum.reduceat(row, steps).tolist()
+    r1 = np.maximum.reduceat(row, steps).tolist()
+    del row
+    stops = steps[1:].tolist() + [len(cells)]
+
+    best = np.maximum.reduce
+    for k, start, stop, lo, hi in zip(minima, steps.tolist(), stops, r0, r1):
+        # d and l hold the indices 0..k along axis 0
+        d, l = views[lo] if lo == hi else (deg[lo:hi + 1].T, lam[lo:hi + 1].T)
+        h = k // 2
+        valid = d[1:h + 1] + d[k - 1:k - h - 1:-1] == d[k]
+        top = best(l[1:h + 1] + l[k - 1:k - h - 1:-1], axis=0, where=valid, initial=1)
+        run = cells[start:stop]
+        flat[run] = top if lo == hi else top[run // width - lo]
+    return [_profile(lam[r, :alg.z + 1]) for r, alg in enumerate(algs)]
+
+
+def _profile(lam: np.ndarray) -> LoewyProfile:
+    z = len(lam) - 1
+    counts = np.bincount(lam[1:])
+    top = int(lam[z])
+    if top != int(lam.max()):
+        raise AssertionError("socle index must attain the maximal layer")
+    vector = (1,) + tuple(int(counts[t]) for t in range(1, top + 1))
+    if sum(vector) != z + 1:
+        raise AssertionError("Loewy vector does not sum to the dimension")
+    irreducibles = tuple((np.flatnonzero(lam[1:] == 1) + 1).tolist())
+    return LoewyProfile(lam, vector, top + 1, irreducibles)
 
 
 # ---------------------------------------------------------------------------

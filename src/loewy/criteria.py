@@ -172,12 +172,17 @@ def _r9(p: Parameters):
 
 
 def _r10(p: Parameters):
+    # q^k and q^2k mod e, each stepped by one multiplication per k: squaring
+    # q^k instead costs a full-size product and division at every k
+    e = p.e
+    q1, q2 = p.q % e, p.q * p.q % e
+    qk = q2k = 1
     for k in range(1, p.nu + 1):
-        qk = pow(p.q, k, p.e)
-        if (qk + 1) % p.e == 0:
+        qk, q2k = qk * q1 % e, q2k * q2 % e
+        if (qk + 1) % e == 0:
             return CriterionVerdict("R10", "bound_attained", None,
                                     f"e | q^{k}+1")
-        if (qk * qk + qk + 1) % p.e == 0:
+        if (q2k + qk + 1) % e == 0:
             return CriterionVerdict("R10", "bound_attained", None,
                                     f"e | q^{2 * k}+q^{k}+1")
     return None

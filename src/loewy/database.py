@@ -12,12 +12,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .algebra import Algebra, same_table
+from .algebra import Algebra, loewy_profiles, same_table
 from .arith import cyclic_subgroups, format_decimal, mult_order
 from .errors import CapacityError, DomainError
 from .invariants import invariant_report, report_difference
 
 SCHEMA_VERSION = 1
+
+# Consecutive scan keys share one lockstep Loewy DP while their padded
+# (keys, largest z + 1) arrays stay within this many cells.  On the scans of
+# z in [2, 99] and z = 997, larger budgets saved little time and raised the
+# peak memory.  From z = BATCH_CELLS / 2 on, every key runs alone, on views.
+BATCH_CELLS = 1 << 12
 
 _FIELDS = ("schema", "z", "q", "n", "subgroup", "e", "m", "ll", "bound",
            "gap", "loewy_vector", "flags", "runtime_ms")
@@ -147,13 +153,17 @@ def subgroup_representatives(z: int) -> list[EquivKey]:
             for gen, sub in cyclic_subgroups(z)]
 
 
-def compute_record(key: EquivKey) -> DbRecord:
+def key_algebra(key: EquivKey) -> Algebra:
+    """The algebra A[q, n, z] of a key, with n = ord_z(q)."""
     n = 1 if key.z == 1 else mult_order(key.q_rep % key.z, key.z)
-    alg = Algebra(key.q_rep, n, key.z)
+    return Algebra(key.q_rep, n, key.z)
+
+
+def _record(key: EquivKey, alg: Algebra) -> DbRecord:
     report = alg.bound_report()
     return DbRecord(
         key=key,
-        n=n,
+        n=alg.n,
         e_decimal=format_decimal(alg.e()),
         m=report.m,
         ll=report.ll,
@@ -165,6 +175,11 @@ def compute_record(key: EquivKey) -> DbRecord:
     )
 
 
+def compute_record(key: EquivKey) -> DbRecord:
+    """The record of one key, as a batch of one."""
+    return _record(key, key_algebra(key))
+
+
 def scan_keys(z_min: int, z_max: int) -> list[EquivKey]:
     if z_min < 1 or z_max < z_min:
         raise DomainError(f"invalid range [{z_min}, {z_max}]")
@@ -174,28 +189,55 @@ def scan_keys(z_min: int, z_max: int) -> list[EquivKey]:
     return keys
 
 
-def compute_or_error(key: EquivKey):
-    """Capacity failures become error rows in the stream, never silent
-    drops; anything else propagates (it is a bug)."""
-    try:
-        return compute_record(key)
-    except CapacityError as exc:
-        return ErrorRecord(key=key, error=str(exc))
+def compute_batch(keys) -> list:
+    """The records of the keys, in order, from one lockstep Loewy DP over
+    their algebras.  A CapacityError from a key's algebra becomes that
+    key's error row, never a silent drop, and the rest of the batch
+    computes normally; anything else propagates (it is a bug)."""
+    built = []
+    for key in keys:
+        try:
+            built.append(key_algebra(key))
+        except CapacityError as exc:
+            built.append(ErrorRecord(key=key, error=str(exc)))
+    loewy_profiles([alg for alg in built if isinstance(alg, Algebra)])
+    return [_record(key, alg) if isinstance(alg, Algebra) else alg
+            for key, alg in zip(keys, built)]
+
+
+def _batches(keys):
+    """Cut consecutive keys into batches whose padded DP arrays, keys times
+    (largest z + 1), hold at most BATCH_CELLS cells; a wider key runs
+    alone."""
+    batch, width = [], 0
+    for key in keys:
+        wider = max(width, key.z + 1)
+        if batch and (len(batch) + 1) * wider > BATCH_CELLS:
+            yield batch
+            batch, wider = [], key.z + 1
+        batch.append(key)
+        width = wider
+    if batch:
+        yield batch
 
 
 def compute_records(keys, *, jobs: int = 1):
-    """Yield the records of the given keys in order; with jobs > 1 a worker
-    pool computes out of order and the pool's mapper restores the order."""
+    """Yield the records of the given keys in order.  Consecutive keys are
+    cut into batches under BATCH_CELLS, and each batch runs one lockstep
+    Loewy DP (`compute_batch`), so the batch boundaries never show in the
+    output.  With jobs > 1 a worker pool computes the batches out of order
+    and the pool's mapper restores the order."""
     if jobs <= 1:
-        for key in keys:
-            yield compute_or_error(key)
+        for batch in _batches(keys):
+            yield from compute_batch(batch)
         return
     # imported here: the pool module costs every CLI process memory, and
     # only jobs > 1 uses it
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(compute_or_error, keys, chunksize=8)
+        for records in pool.map(compute_batch, _batches(keys)):
+            yield from records
 
 
 def scan_records(z_min: int, z_max: int, *, jobs: int = 1):

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import numpy as np
@@ -12,6 +13,7 @@ from conftest import (
 from loewy.algebra import (
     Algebra,
     concat_witness,
+    loewy_profiles,
     same_table,
     shift_witness,
     transport_witness,
@@ -311,6 +313,63 @@ class TestOrbits:
             lam = Algebra(q, n, z).loewy_profile().lam
             for orbit in self.orbits(q, z):
                 assert len(set(lam[orbit].tolist())) == 1, (q, n, z, orbit)
+
+
+def key_algebras(zs):
+    """The algebra of every scan key at the given z, in scan order."""
+    return [Algebra(key.q_rep, mult_order(key.q_rep % z, z) if z > 1 else 1, z)
+            for z in zs for key in subgroup_representatives(z)]
+
+
+def assert_same_profiles(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.lam.dtype == b.lam.dtype and np.array_equal(a.lam, b.lam)
+        assert (a.loewy_vector, a.ll, a.irreducibles) == (b.loewy_vector, b.ll,
+                                                         b.irreducibles)
+
+
+class TestLockstepBatch:
+    """`loewy_profiles` runs one DP for a whole batch; every batch, however
+    it is cut, gives each algebra the profile of its batch of one."""
+
+    ZS = list(range(1, 141)) + [997]
+
+    @pytest.fixture(scope="class")
+    def singles(self):
+        return [alg.loewy_profile() for alg in key_algebras(self.ZS)]
+
+    def test_one_batch(self, singles):
+        assert_same_profiles(loewy_profiles(key_algebras(self.ZS)), singles)
+
+    def test_random_cuts(self, singles):
+        rng = random.Random(20191206)
+        for _ in range(3):
+            algs = key_algebras(self.ZS)
+            cuts = sorted(rng.sample(range(1, len(algs)), rng.randint(1, 80)))
+            got = []
+            for lo, hi in zip([0] + cuts, cuts + [len(algs)]):
+                got += loewy_profiles(algs[lo:hi])
+            assert_same_profiles(got, singles)
+
+    def test_mixed_widths_share_padding(self):
+        # rows of z = 1, 2 and 997 in one batch, narrow ones between wide ones
+        algs = key_algebras([1, 2, 997])
+        random.Random(7).shuffle(algs)
+        want = [Algebra(a.q, a.n, a.z).loewy_profile() for a in algs]
+        assert_same_profiles(loewy_profiles(algs), want)
+
+    def test_against_quadratic_dp(self):
+        algs = key_algebras(range(1, 41))
+        for alg, profile in zip(algs, loewy_profiles(algs)):
+            assert np.array_equal(profile.lam, quadratic_loewy_layers(alg)), alg
+
+    def test_cached_profiles_are_reused(self):
+        algs = key_algebras([12, 13])
+        first = algs[2].loewy_profile()
+        profiles = loewy_profiles(algs)
+        assert profiles[2] is first
+        assert all(alg.loewy_profile() is p for alg, p in zip(algs, profiles))
 
 
 class TestWitnessPins:

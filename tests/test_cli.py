@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -134,6 +135,17 @@ class TestResolution:
         assert code == 0 and err == ""
         assert ("R16 gap_formula(epsilon=0) :: (q,e) = (5,33), n = 10 (mod 30)"
                 in out.splitlines())
+
+    def test_criteria_steps_powers_of_q(self, capsys):
+        # nu = 30000 steps of R10 over a 9000-digit e; squaring q^k mod e
+        # at every step took 18.6 s on a 2-vCPU machine
+        start = time.perf_counter()
+        code, out, err = run_cli(["criteria", "--q", "2", "--n", "30000",
+                                  "--z", "257"], capsys)
+        assert time.perf_counter() - start < 10
+        assert code == 0 and err == ""
+        assert out.splitlines()[1:] == [
+            f"R6 ll_equals(3) :: q^(n/2)-1 = {E_15000} | e | q^n-1, e proper"]
 
     def test_e_beyond_4300_digits(self, capsys):
         lines = []

@@ -6,6 +6,7 @@ import pytest
 from loewy.algebra import Algebra
 from loewy.arith import mult_order
 from loewy.criteria import (
+    _r10,
     evaluate_criteria,
     reduction_targets,
     resolve_parameters,
@@ -110,6 +111,28 @@ class TestSpecificRules:
     def test_uniserial_rule(self):
         verdicts = {v.rule_id: v for v in evaluate_criteria(6, 2, z=5)}
         assert verdicts["R20"].kind == "uniserial"
+
+    def test_r10_matches_powers(self):
+        # R10 steps q^k and q^2k mod e; the rule reads the powers afresh
+        fired = 0
+        for e in range(1, 120):
+            for q in range(2, 40):
+                if gcd(q, e) != 1:
+                    continue
+                p = resolve_parameters(q, mult_order(q % e, e) if e > 1 else 1, e=e)
+                want = None
+                for k in range(1, p.nu + 1):
+                    qk = pow(q, k, e)
+                    if (qk + 1) % e == 0:
+                        want = f"e | q^{k}+1"
+                        break
+                    if (qk * qk + qk + 1) % e == 0:
+                        want = f"e | q^{2 * k}+q^{k}+1"
+                        break
+                got = _r10(p)
+                assert (got and got.trace) == want, (q, e)
+                fired += got is not None
+        assert fired > 100
 
     def test_renders(self):
         verdicts = evaluate_criteria(2, 11, e=23)

@@ -129,6 +129,72 @@ class TestScan:
         assert "subgroup" not in lines[0]
 
 
+class TestBatches:
+    """Consecutive keys share one lockstep DP; the cuts never show."""
+
+    def test_budget_never_shows(self, tmp_path, monkeypatch):
+        import loewy.database as db
+
+        out = {}
+        for cells in (1, 1 << 30):  # every key alone, then one batch
+            monkeypatch.setattr(db, "BATCH_CELLS", cells)
+            out[cells] = tmp_path / f"{cells}.jsonl"
+            scan_to_file(2, 60, str(out[cells]))
+        assert out[1].read_bytes() == out[1 << 30].read_bytes()
+
+    def test_torn_line_inside_batch(self, tmp_path):
+        import loewy.database as db
+
+        full, torn = tmp_path / "full.jsonl", tmp_path / "torn.jsonl"
+        scan_to_file(2, 60, str(full))
+        keys = scan_keys(2, 60)
+        batch = next(b for b in db._batches(keys) if len(b) > 2)
+        inside = keys.index(batch[len(batch) // 2])  # neither first nor last
+        lines = full.read_bytes().splitlines(keepends=True)
+        torn.write_bytes(b"".join(lines[:inside]) + lines[inside][:30])
+        assert scan_to_file(2, 60, str(torn)) == len(lines) - inside
+        assert torn.read_bytes() == full.read_bytes()
+
+    def test_bands_concatenate(self, tmp_path):
+        low, high, whole = (tmp_path / name for name in ("low", "high", "whole"))
+        scan_to_file(2, 23, str(low))
+        scan_to_file(24, 60, str(high))
+        scan_to_file(2, 60, str(whole))
+        assert low.read_bytes() + high.read_bytes() == whole.read_bytes()
+
+    def test_error_row_leaves_its_batch_intact(self, monkeypatch):
+        import loewy.database as db
+        from loewy.errors import CapacityError
+
+        clean = list(scan_records(5, 30))
+        real = db.key_algebra
+
+        def flaky(key):
+            if key.z == 17 and key.q_rep == 4:
+                raise CapacityError("synthetic budget overrun")
+            return real(key)
+
+        monkeypatch.setattr(db, "key_algebra", flaky)
+        monkeypatch.setattr(db, "BATCH_CELLS", 1 << 30)
+        records = list(scan_records(5, 30))
+        assert [rec.key for rec in records] == [rec.key for rec in clean]
+        for rec, want in zip(records, clean):
+            if rec.key.z == 17 and rec.key.q_rep == 4:
+                assert isinstance(rec, db.ErrorRecord) and "budget" in rec.error
+            else:
+                assert rec == want
+
+    def test_cut_under_budget(self):
+        import loewy.database as db
+
+        keys = scan_keys(2, 120) + scan_keys(4095, 4096)
+        batches = list(db._batches(keys))
+        assert [key for batch in batches for key in batch] == keys
+        for batch in batches:
+            cells = len(batch) * (max(key.z for key in batch) + 1)
+            assert cells <= db.BATCH_CELLS or len(batch) == 1
+
+
 class TestStats:
     def test_range_to_99(self, tmp_path):
         out = tmp_path / "db.jsonl"
@@ -160,14 +226,14 @@ class TestStats:
         import loewy.database as db
         from loewy.errors import CapacityError
 
-        real = db.compute_record
+        real = db.key_algebra
 
         def flaky(key):
             if key.z == 7 and key.q_rep == 2:
                 raise CapacityError("synthetic budget overrun")
             return real(key)
 
-        monkeypatch.setattr(db, "compute_record", flaky)
+        monkeypatch.setattr(db, "key_algebra", flaky)
         out = tmp_path / "db.jsonl"
         db.scan_to_file(5, 9, str(out))
         records = db.load_records(str(out))
