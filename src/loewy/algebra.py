@@ -26,19 +26,22 @@ batch of one, which runs on views of its own arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 
 import numpy as np
 
-from .arith import cyclic_powers, order_dividing, resolve_z
+from .arith import cyclic_powers, mult_order, order_dividing, resolve_z
 from .errors import CapacityError, DomainError
-from .mfunc import digit_sum_blocks, exponent_digits, m_via_z, residue_powers
+from .mfunc import (
+    degrees_and_orbit_min,
+    exponent_digits,
+    m_via_z,
+    require_index_capacity,
+)
 
-# The z-length int64 arrays degrees, orbit_min, lam and the argsort order of
-# orbit_min that the Loewy DP walks take 32 bytes per basis index; above
-# this budget Algebra refuses.
-ALGEBRA_CAPACITY_BYTES = 1 << 31
-_BYTES_PER_INDEX = 32
+# validity_table refuses a (z - 1)^2 bool table above this many bytes.
+VALIDITY_CAPACITY_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -152,36 +155,31 @@ class Algebra:
     """A[q, n, z]: dimension z + 1.  degrees[k] is the digit sum of k*e,
     computed from residues modulo z; it decides every product.
     orbit_min[k] is the smallest index of the orbit of k under
-    k -> kq mod z (orbit_min[0] = 0, orbit_min[z] = z)."""
+    k -> kq mod z (orbit_min[0] = 0, orbit_min[z] = z).  Both come from
+    `degrees_and_orbit_min`, within the capacity that
+    `require_index_capacity` states and shares with `m_via_z`."""
 
     def __init__(self, q: int, n: int, z: int):
         resolve_z(q, n, z=z)
-        if _BYTES_PER_INDEX * z > ALGEBRA_CAPACITY_BYTES:
-            raise CapacityError(
-                f"z={z} needs {_BYTES_PER_INDEX * z} bytes of per-index arrays, "
-                f"over the capacity of {ALGEBRA_CAPACITY_BYTES} bytes"
-            )
+        require_index_capacity(q, n, z)
         self.q = q
         self.n = n
         self.z = z
-        powers = residue_powers(q, n, z)
-        self.nu = len(powers)
-        self.degrees = np.empty(z + 1, dtype=np.int64)
-        self.orbit_min = np.empty(z + 1, dtype=np.int64)
-        for lo, degrees, orbit_min in digit_sum_blocks(q, n, z, powers):
-            self.degrees[lo:lo + len(degrees)] = degrees
-            self.orbit_min[lo:lo + len(orbit_min)] = orbit_min
-        self.degrees[0] = 0
-        self.degrees[z] = n * (q - 1)
-        self.orbit_min[0] = 0
-        self.orbit_min[z] = z
+        self.degrees, self.orbit_min = degrees_and_orbit_min(q, n, z)
+        self._m = int(self.degrees[1:].min())
         self._profile: LoewyProfile | None = None
+        self._report: BoundReport | None = None
 
     # -- parameters -------------------------------------------------------
 
     @property
     def dimension(self) -> int:
         return self.z + 1
+
+    @cached_property
+    def nu(self) -> int:
+        """Order of q modulo z: the length of the orbit of b_1."""
+        return mult_order(self.q, self.z)
 
     def e(self) -> int:
         """The modulus e = (q^n - 1)/z, materialized exactly."""
@@ -193,7 +191,7 @@ class Algebra:
 
     def m(self) -> int:
         """The least degree of a radical basis monomial."""
-        return int(self.degrees[1:].min())
+        return self._m
 
     def __repr__(self) -> str:
         return f"Algebra(q={self.q}, n={self.n}, z={self.z})"
@@ -250,12 +248,15 @@ class Algebra:
         return self.n * (self.q - 1) // self.m() + 1
 
     def bound_report(self) -> BoundReport:
-        ll = self.loewy_length()
-        bound = self.upper_bound()
-        gap = bound - ll
-        if gap < 0:
-            raise AssertionError("Loewy length exceeded its upper bound")
-        return BoundReport(ll=ll, bound=bound, gap=gap, m=self.m())
+        """Loewy length against its bound, computed once per algebra."""
+        if self._report is None:
+            ll = self.loewy_length()
+            bound = self.upper_bound()
+            gap = bound - ll
+            if gap < 0:
+                raise AssertionError("Loewy length exceeded its upper bound")
+            self._report = BoundReport(ll=ll, bound=bound, gap=gap, m=self._m)
+        return self._report
 
     # -- witnesses -----------------------------------------------------------
 
@@ -526,8 +527,14 @@ def concat_witness(w1: Witness, w2: Witness) -> Witness:
 def validity_table(alg: Algebra) -> np.ndarray:
     """Boolean matrix over 1 <= k, l <= z-1: True where b_k * b_l != 0.
     The index of a nonzero product is always k + l, so two algebras with
-    the same z have equal multiplication tables iff these matrices agree."""
+    the same z have equal multiplication tables iff these matrices agree.
+    Tables above VALIDITY_CAPACITY_BYTES are refused before allocation."""
     z, deg = alg.z, alg.degrees
+    if (z - 1) ** 2 > VALIDITY_CAPACITY_BYTES:
+        raise CapacityError(
+            f"the validity table of z={z} needs {(z - 1) ** 2} bytes, over the "
+            f"capacity of {VALIDITY_CAPACITY_BYTES} bytes"
+        )
     valid = np.zeros((z - 1, z - 1), dtype=bool)
     for k in range(1, z):  # row k - 1 holds l = 1..z-k, the l with k + l <= z
         valid[k - 1, :z - k] = deg[k] + deg[1:z - k + 1] == deg[k + 1:]

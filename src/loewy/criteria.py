@@ -189,12 +189,17 @@ def _r10(p: Parameters):
 
 
 def _r11(p: Parameters):
+    e = p.e
     for r in range(1, p.n + 1):
         if p.n % r or (p.n // r) % p.m:
             continue
         a = p.n // (p.m * r)
-        total = sum(pow(p.q, a * i, p.e) for i in range(p.m)) % p.e
-        if total == 0:
+        # q^(a i) mod e, stepped by one multiplication per i
+        qa, term, total = pow(p.q, a, e), 1, 0
+        for _ in range(p.m):
+            total += term
+            term = term * qa % e
+        if total % e == 0:
             return CriterionVerdict(
                 "R11", "bound_attained", None,
                 f"m={p.m} | n/r with r={r} and e | sum of q^({a}i)",

@@ -152,8 +152,10 @@ def ideal_dims_profile(alg: Algebra, *, primes=(2, 3)) -> dict[str, int]:
     profile = alg.loewy_profile()
     ll = profile.ll
     dims: dict[str, int] = {}
-    powers = {i: radical_power(alg, i) for i in range(1, ll + 1)}
+    # the socle series first: its validity table is the part that can be
+    # refused for capacity, before the radical powers fill memory
     series = socle_series(alg)
+    powers = {i: radical_power(alg, i) for i in range(1, ll + 1)}
     for i, members in powers.items():
         dims[f"dim_J^{i}"] = len(members)
     for j, members in enumerate(series, start=1):

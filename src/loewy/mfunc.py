@@ -6,8 +6,11 @@ and the residue-sum formula working entirely modulo z), plus a catalogue of
 closed-form fast paths and the classification of the pairs with m >= e/3.
 The general algorithms serve as oracles for one another and for every
 closed form; the tests add a third, a digit-sum scan over the multiples of
-e in full-width integers.  The residue-sum kernel,
-`digit_sum_blocks`, also gives `Algebra` the degrees of its basis monomials.
+e in full-width integers.  The residue-sum kernel, `degrees_and_orbit_min`,
+also gives `Algebra` the degrees of its basis monomials and the orbit
+minima of k -> kq mod z: it sums and minimizes k*q^i mod z over i < ord_z(q)
+by pointer doubling on that permutation, in log2(ord_z(q)) passes over
+z-length arrays, never forming the z*ord_z(q) cells.
 """
 
 from __future__ import annotations
@@ -35,11 +38,23 @@ from .errors import CapacityError, DomainError
 BFS_CAPACITY = 1 << 31
 # The most exponents a witness multiset of m terms may hold.
 WITNESS_CAPACITY = 1 << 24
-# The largest z with z^2 < 2^63: k*q^i mod z is formed in int64 from k < z.
-DIGIT_SUM_CAPACITY = 3_037_000_499
 # Degrees reach n(q-1); up to this bound a sum of two stays in int64.
 _DEGREE_CAPACITY = 1 << 62
-_BLOCK_CELLS = 1 << 22
+# Algebra and m_via_z refuse a z whose z + 1 basis indices, at
+# _BYTES_PER_INDEX each, exceed this budget.
+INDEX_CAPACITY_BYTES = 1 << 31
+# The most int64 arrays of length z + 1 alive at once, counted in bytes.
+# The degree kernel holds four: window sums (which become the degrees),
+# window minima (the orbit minima), jumps pi^L(k) and one gather buffer.
+# The Loewy DP holds seven at its peak: degrees, orbit minima, layers, the
+# argsort order of the minima, the minima in that order, and np.diff's
+# output and padded input, while it finds where the minima change.  Its
+# Python lists of orbit minima come on top, about 125 bytes per orbit,
+# which is per index only when q = 1 mod z.
+_BYTES_PER_INDEX = 56
+# The largest z under the budget.  It keeps z^2 < 2^63, so the products
+# k*q and the sums of nu < z residues below z stay in int64.
+INDEX_CAPACITY = INDEX_CAPACITY_BYTES // _BYTES_PER_INDEX - 1
 
 
 @dataclass(frozen=True)
@@ -136,58 +151,84 @@ def m_bfs(q: int, e: int) -> MResult:
     return MResult(m=t, method="bfs", witness=tuple(sorted(out)))
 
 
-def residue_powers(q: int, n: int, z: int) -> np.ndarray:
-    """The powers 1, q, q^2, ... modulo z (one cycle) as int64, refusing
-    parameters whose products k*q^i mod z or digit sums overflow int64."""
-    if z > DIGIT_SUM_CAPACITY:
+def require_index_capacity(q: int, n: int, z: int) -> None:
+    """Refuse, before any z-sized allocation, a z above INDEX_CAPACITY and a
+    top degree n(q-1) above which a sum of two degrees overflows int64.
+    Neither message prints z or n(q-1): both can be of any size."""
+    if z > INDEX_CAPACITY:
         raise CapacityError(
-            f"z={z} exceeds {DIGIT_SUM_CAPACITY}, above which k*q^i mod z "
-            "overflows int64"
+            f"z exceeds {INDEX_CAPACITY}, the most basis indices whose "
+            f"{_BYTES_PER_INDEX}-byte per-index arrays fit the capacity of "
+            f"{INDEX_CAPACITY_BYTES} bytes"
         )
     if n * (q - 1) > _DEGREE_CAPACITY:
         raise CapacityError(
-            f"the top degree n(q-1) = {n * (q - 1)} exceeds {_DEGREE_CAPACITY}, "
-            "above which a sum of two degrees overflows int64"
+            f"the top degree n(q-1) exceeds {_DEGREE_CAPACITY}, above which "
+            "a sum of two degrees overflows int64"
         )
-    return np.array(cyclic_powers(q, z), dtype=np.int64)
 
 
-def digit_sum_blocks(q: int, n: int, z: int, powers: np.ndarray):
-    """Yield (lo, degrees, orbit_min) for k = lo, lo + 1, ..., in ascending
-    blocks covering 1 <= k < z, where e = (q^n - 1)/z and
-    powers = residue_powers(q, n, z).  Row k of a block holds the cells
-    k*q^i mod z over one cycle of powers, which is the orbit of k under
-    k -> k*q mod z.  degrees is the digit sum of k*e,
-    (q-1)(n/nu) * sum_i (k*q^i mod z) / z, so e itself is never formed;
-    orbit_min is the smallest index of the orbit, the row minimum."""
-    nu = len(powers)
+def degrees_and_orbit_min(q: int, n: int, z: int) -> tuple[np.ndarray, np.ndarray]:
+    """(degrees, orbit_min) as int64 arrays over 0 <= k <= z, for
+    parameters that passed `require_index_capacity`.
+
+    degrees[k] is the digit sum of k*e, e = (q^n - 1)/z, and orbit_min[k]
+    the smallest index of the orbit of k under pi(k) = kq mod z, with z a
+    fixed point of pi.  Over nu = ord_z(q) steps of pi, which cover the
+    orbit, S_k = sum_{i < nu} pi^i(k) gives degrees[k] =
+    (q-1)(n/nu) S_k / z, so e itself is never formed.
+
+    Sums and minima over windows of L steps of pi grow by pointer doubling,
+    along the binary digits of nu from the top: a window doubles by adding
+    (taking the minimum with) itself read at jump[k] = pi^L(k), and grows by
+    one step by adding jump[k] itself.  That is log2(nu) passes over four
+    z-length arrays."""
+    nu = mult_order(q, z)
     g = gcd(q - 1, z)
     scale, divisor = (n // nu) * ((q - 1) // g), z // g
-    rows = max(1, _BLOCK_CELLS // nu)
-    for lo in range(1, z, rows):
-        cells = np.arange(lo, min(lo + rows, z), dtype=np.int64)[:, None] * powers
-        cells %= z
-        sums, rem = np.divmod(cells.sum(axis=1), divisor)
-        if rem.any():
-            raise AssertionError("digit-sum formula did not divide evenly")
-        yield lo, sums * scale, cells.min(axis=1)
+    step = q % z
+    # windows of one step: S_k = k, the minimum k, jump pi(k)
+    sums = np.arange(z + 1, dtype=np.int64)
+    mins = sums.copy()
+    jump = sums * step
+    jump %= z
+    jump[z] = z
+    buf = np.empty_like(sums)
+    # every index is in range; mode="clip" lets np.take write into buf
+    # directly, where the default mode goes through a buffer
+    for bit in bin(nu)[3:]:
+        np.take(sums, jump, out=buf, mode="clip")
+        sums += buf
+        np.take(mins, jump, out=buf, mode="clip")
+        np.minimum(mins, buf, out=mins)
+        np.take(jump, jump, out=buf, mode="clip")
+        jump, buf = buf, jump
+        if bit == "1":
+            sums += jump
+            np.minimum(mins, jump, out=mins)
+            jump *= step
+            jump %= z
+            jump[z] = z
+    np.remainder(sums, divisor, out=buf)
+    if buf.any():
+        raise AssertionError("digit-sum formula did not divide evenly")
+    sums //= divisor
+    sums *= scale
+    return sums, mins
 
 
 def m_via_z(q: int, n: int, z: int) -> MResult:
-    """m from residues modulo z alone: the least digit sum of k*e over
-    1 <= k < z, from `digit_sum_blocks`, so e itself is never formed.
-    k_min is the smallest minimizing k; `residue_witness` expands it into
-    exponents on request."""
+    """m from residues modulo z alone: the least degree over 1 <= k <= z
+    from `degrees_and_orbit_min`, so e itself is never formed, within the
+    capacity `require_index_capacity` states.  k_min is the smallest
+    minimizing k; only z*e = q^n - 1 has all digits q - 1, so k_min = z
+    only when z = 1.  `residue_witness` expands k_min into exponents on
+    request."""
     resolve_z(q, n, z=z)
-    powers = residue_powers(q, n, z)
-    # only z*e = q^n - 1 has all digits q - 1, so every k < z lies below
-    # this start, and z = 1 keeps it
-    m, best_k = n * (q - 1), 1
-    for lo, degrees, _ in digit_sum_blocks(q, n, z, powers):
-        idx = int(degrees.argmin())
-        if degrees[idx] < m:
-            m, best_k = int(degrees[idx]), lo + idx
-    return MResult(m=m, method="residue_formula", k_min=best_k)
+    require_index_capacity(q, n, z)
+    degrees, _ = degrees_and_orbit_min(q, n, z)
+    k = int(degrees[1:].argmin()) + 1
+    return MResult(m=int(degrees[k]), method="residue_formula", k_min=k)
 
 
 def residue_witness(q: int, n: int, z: int, result: MResult) -> tuple[int, ...]:

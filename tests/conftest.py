@@ -94,6 +94,31 @@ def residue_rows(alg) -> np.ndarray:
     return np.arange(alg.z, dtype=np.int64)[:, None] * powers % alg.z
 
 
+def residue_sum_degrees(q: int, n: int, z: int) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for `degrees_and_orbit_min`: (degrees, orbit_min) over
+    0 <= k <= z from the z*nu cells k*q^i mod z, nu = ord_z(q), formed a
+    block of rows at a time.  degrees[k] = (q-1)(n/nu) * (row sum) / z in
+    exact integers, asserted to divide evenly; orbit_min[k] is the row
+    minimum; index z is the all-(q-1) monomial, its own orbit."""
+    powers = np.array(cyclic_powers(q, z), dtype=np.int64)
+    nu = len(powers)
+    sums = np.empty(z, dtype=np.int64)
+    orbit_min = np.empty(z + 1, dtype=np.int64)
+    rows = max(1, (1 << 20) // nu)
+    for lo in range(0, z, rows):
+        cells = np.arange(lo, min(lo + rows, z), dtype=np.int64)[:, None] * powers % z
+        sums[lo:lo + len(cells)] = cells.sum(axis=1)
+        orbit_min[lo:lo + len(cells)] = cells.min(axis=1)
+    orbit_min[z] = z
+    degrees = []
+    for s in sums.tolist():
+        degree, rem = divmod(s * (q - 1) * (n // nu), z)
+        assert rem == 0, "digit-sum formula did not divide evenly"
+        degrees.append(degree)
+    degrees.append(n * (q - 1))
+    return np.array(degrees, dtype=np.int64), orbit_min
+
+
 def positionwise_product(rows, k: int, l: int) -> bool:
     """b_k * b_l != 0 for 1 <= k, l <= z-1 by the position-wise rule: no
     position has residue sum >= z, or every position sums to exactly z

@@ -9,7 +9,9 @@ from conftest import (
     positionwise_product,
     quadratic_loewy_layers,
     residue_rows,
+    residue_sum_degrees,
 )
+from loewy import algebra
 from loewy.algebra import (
     Algebra,
     concat_witness,
@@ -23,6 +25,11 @@ from loewy.algebra import (
 from loewy.arith import mult_order
 from loewy.database import subgroup_representatives
 from loewy.errors import CapacityError, DomainError
+from loewy.mfunc import degrees_and_orbit_min
+
+
+def unreachable(*args, **kwargs):
+    raise AssertionError("reached code that should not run")
 
 
 class TestConstruction:
@@ -118,6 +125,15 @@ class TestLoewyProfiles:
         assert alg.upper_bound() == 4
         report = alg.bound_report()
         assert (report.ll, report.bound, report.gap, report.m) == (3, 4, 1, 8)
+
+    def test_one_report_per_algebra(self, monkeypatch):
+        # a record reads m and the report once, however often it asks
+        alg = Algebra(3, 12, 70)
+        report = alg.bound_report()
+        monkeypatch.setattr(alg, "loewy_length", unreachable)
+        monkeypatch.setattr(alg, "degrees", None)
+        assert alg.bound_report() is report and alg.m() == 8
+        assert alg.flags()["bound_attained"] is False
 
     def test_gap_two(self):
         alg = Algebra(9, 15, 5551)
@@ -285,8 +301,8 @@ def orbit_keys():
 
 
 class TestOrbits:
-    """orbit_min comes from the degree kernel's blocks, and the Loewy DP
-    writes one value per orbit of k -> kq mod z."""
+    """orbit_min comes from the degree kernel's pointer doubling, and the
+    Loewy DP writes one value per orbit of k -> kq mod z."""
 
     @staticmethod
     def orbits(q, z):
@@ -327,6 +343,66 @@ def assert_same_profiles(got, want):
         assert a.lam.dtype == b.lam.dtype and np.array_equal(a.lam, b.lam)
         assert (a.loewy_vector, a.ll, a.irreducibles) == (b.loewy_vector, b.ll,
                                                          b.irreducibles)
+
+
+def key_params(zs):
+    """(q, n, z) with n = ord_z(q) for every key of the given z."""
+    for z in zs:
+        for key in subgroup_representatives(z):
+            yield key.q_rep, mult_order(key.q_rep % z, z), z
+
+
+class TestDegreeKernel:
+    """The pointer-doubling kernel equals the z*nu residue-sum formula."""
+
+    @staticmethod
+    def check(q, n, z):
+        want = residue_sum_degrees(q, n, z)
+        got = degrees_and_orbit_min(q, n, z)
+        assert all(a.dtype == np.int64 for a in got)
+        assert np.array_equal(got[0], want[0]), (q, n, z)
+        assert np.array_equal(got[1], want[1]), (q, n, z)
+
+    def test_small_keys(self):
+        for q, n, z in key_params(range(1, 301)):
+            self.check(q, n, z)
+
+    def test_large_keys(self):
+        for q, n, z in key_params([997, 3000, 9990, 9991]):
+            self.check(q, n, z)
+
+    def test_nu_below_n(self):
+        # the degrees scale by n/nu
+        for q, n, z in [(3, 12, 70), (2, 11, 89), (5, 10, 295928), (7, 4, 100)]:
+            for mult in (2, 3):
+                self.check(q, mult * n, z)
+                alg = Algebra(q, mult * n, z)
+                assert alg.nu == n and alg.m() == mult * Algebra(q, n, z).m()
+
+    def test_nu_one(self):
+        # q = 1 mod z: pi is the identity and every index is its own orbit
+        for z in (1, 2, 3, 10, 97, 1000):
+            for q, n in [(z + 1, 1), (z + 1, 3), (2 * z + 1, 2)]:
+                self.check(q, n, z)
+                _, orbit_min = degrees_and_orbit_min(q, n, z)
+                assert orbit_min.tolist() == list(range(z + 1))
+
+    def test_tiny_z(self):
+        for q, n in [(2, 1), (2, 5), (3, 2), (7, 3), (2**62 + 1, 1)]:
+            self.check(q, n, 1)
+        for q, n in [(3, 1), (3, 2), (5, 4), (2**62 + 1, 1)]:
+            self.check(q, n, 2)
+        alg = Algebra(2, 5, 1)
+        assert alg.degrees.tolist() == [0, 5] and alg.orbit_min.tolist() == [0, 1]
+        assert alg.m() == 5
+
+    def test_algebra_uses_the_kernel(self):
+        for q, n, z in key_params([70, 997]):
+            alg = Algebra(q, n, z)
+            want = residue_sum_degrees(q, n, z)
+            assert np.array_equal(alg.degrees, want[0])
+            assert np.array_equal(alg.orbit_min, want[1])
+            assert alg.m() == int(want[0][1:].min())
 
 
 class TestLockstepBatch:
@@ -394,6 +470,13 @@ class TestSameTable:
         assert not same_table(Algebra(3, 4, 40), Algebra(19, 2, 40))
         alg = Algebra(3, 12, 70)
         assert same_table(alg, alg)
+
+    def test_table_capacity(self, monkeypatch):
+        # a (z - 1)^2 table of 1 TiB is refused before it is allocated
+        alg = Algebra(2, 20, 1048575)
+        monkeypatch.setattr(algebra.np, "zeros", unreachable)
+        with pytest.raises(CapacityError):
+            validity_table(alg)
 
     def test_rejects_mismatched_dimension(self):
         with pytest.raises(DomainError):

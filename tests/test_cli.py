@@ -88,14 +88,14 @@ class TestCapacity:
         raise AssertionError("capacity check came after an allocation")
 
     def test_algebra_over_budget(self, capsys, monkeypatch):
-        monkeypatch.setattr(algebra, "residue_powers", self._unreachable)
+        monkeypatch.setattr(algebra, "degrees_and_orbit_min", self._unreachable)
         code, _, err = run_cli(["algebra", "--q", "2", "--n", "40",
                                 "--z", "1099511627775"], capsys)
         assert code == 2
         assert err.startswith("capacity error:") and "Traceback" not in err
 
     def test_m_via_z_beyond_int64(self, capsys, monkeypatch):
-        monkeypatch.setattr(mfunc, "cyclic_powers", self._unreachable)
+        monkeypatch.setattr(mfunc, "degrees_and_orbit_min", self._unreachable)
         code, _, err = run_cli(["m", "--q", "2", "--n", "32",
                                 "--z", "4294967295"], capsys)
         assert code == 2

@@ -7,6 +7,7 @@ from loewy.algebra import Algebra
 from loewy.arith import mult_order
 from loewy.criteria import (
     _r10,
+    _r11,
     evaluate_criteria,
     reduction_targets,
     resolve_parameters,
@@ -132,6 +133,30 @@ class TestSpecificRules:
                 got = _r10(p)
                 assert (got and got.trace) == want, (q, e)
                 fired += got is not None
+        assert fired > 100
+
+    def test_r11_matches_powers(self):
+        # R11 steps q^(a i) mod e; the rule reads the powers afresh
+        fired = 0
+        for e in range(1, 120):
+            for q in range(2, 40):
+                if gcd(q, e) != 1:
+                    continue
+                nu = mult_order(q % e, e) if e > 1 else 1
+                for n in (nu, 2 * nu, 6 * nu):
+                    p = resolve_parameters(q, n, e=e)
+                    want = None
+                    for r in range(1, n + 1):
+                        if n % r or (n // r) % p.m:
+                            continue
+                        a = n // (p.m * r)
+                        if sum(pow(q, a * i, e) for i in range(p.m)) % e == 0:
+                            want = (f"m={p.m} | n/r with r={r} and "
+                                    f"e | sum of q^({a}i)")
+                            break
+                    got = _r11(p)
+                    assert (got and got.trace) == want, (q, n, e)
+                    fired += got is not None
         assert fired > 100
 
     def test_renders(self):

@@ -8,7 +8,7 @@ from loewy import mfunc
 from loewy.arith import cyclic_powers
 from loewy.errors import CapacityError, DomainError
 from loewy.mfunc import (
-    DIGIT_SUM_CAPACITY,
+    INDEX_CAPACITY,
     WITNESS_CAPACITY,
     LargeMCase,
     classify_large_m,
@@ -181,13 +181,24 @@ class TestViaZ:
             m_via_z(3, 4, 7)
 
     def test_int64_capacity(self):
-        # one past the last z whose products k*q^i mod z fit int64
-        z = DIGIT_SUM_CAPACITY + 1
-        with pytest.raises(CapacityError):
-            m_via_z(z + 1, 1, z)
+        # the index budget keeps the kernel's products and sums in int64
+        assert INDEX_CAPACITY**2 < 1 << 63
         # degrees above 2^62 are refused
         with pytest.raises(CapacityError):
             m_via_z(2**62 + 3, 1, 2)
+
+    def test_index_capacity(self, monkeypatch):
+        # z one past the budget is refused before the kernel allocates;
+        # z at the budget reaches the kernel
+        def kernel(*args):
+            raise AssertionError("kernel reached")
+
+        monkeypatch.setattr(mfunc, "degrees_and_orbit_min", kernel)
+        z = INDEX_CAPACITY + 1
+        with pytest.raises(CapacityError):
+            m_via_z(z + 1, 1, z)
+        with pytest.raises(AssertionError, match="kernel reached"):
+            m_via_z(z, 1, z - 1)
 
 
 class TestExponentDigits:
