@@ -15,12 +15,16 @@ The same pass that computes the degrees records each index's orbit minimum;
 the Loewy DP runs once per orbit, at its minimum, and witnesses find their
 factors on demand from the layers and degrees.
 
-`loewy_profiles` runs that DP in lockstep for a batch of algebras: their
-degrees and orbit minima are stacked into padded (batch, z_max + 1) arrays,
-each minimum value k is visited once for the whole batch, and one 2-D step
-scans the splits of every row with an orbit of minimum k.  A scan computes
-hundreds of small algebras per batch this way; `Algebra.loewy_profile` is a
-batch of one, which runs on views of its own arrays.
+`loewy_profiles` runs that DP in lockstep for a batch of algebras.  An
+`Algebra` checks its parameters when it is made and computes its degrees
+and orbit minima on first use, so a batch fills the arrays of all its
+algebras with one kernel call.  They are then stacked into padded
+(batch, z_max + 1) arrays, each minimum value k is visited once for the
+whole batch, one 2-D step scans the splits of every row with an orbit of
+minimum k, and one bincount over the padded layers gives every row's Loewy
+vector.  A scan computes hundreds of small algebras per batch this way;
+`Algebra.loewy_profile` is a batch of one, which runs on views of its own
+arrays.
 """
 
 from __future__ import annotations
@@ -157,7 +161,10 @@ class Algebra:
     orbit_min[k] is the smallest index of the orbit of k under
     k -> kq mod z (orbit_min[0] = 0, orbit_min[z] = z).  Both come from
     `degrees_and_orbit_min`, within the capacity that
-    `require_index_capacity` states and shares with `m_via_z`."""
+    `require_index_capacity` states and shares with `m_via_z`.  The
+    constructor only checks the parameters; the first read of either array
+    fills both, as a batch of one unless `loewy_profiles` filled them with
+    its batch."""
 
     def __init__(self, q: int, n: int, z: int):
         resolve_z(q, n, z=z)
@@ -165,10 +172,23 @@ class Algebra:
         self.q = q
         self.n = n
         self.z = z
-        self.degrees, self.orbit_min = degrees_and_orbit_min(q, n, z)
-        self._m = int(self.degrees[1:].min())
+        self._m: int | None = None
         self._profile: LoewyProfile | None = None
         self._report: BoundReport | None = None
+
+    # -- the degree arrays, filled on first use ---------------------------
+
+    # _fill_degrees stores both arrays on the instance, where later reads
+    # find them without calling these
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        _fill_degrees([self])
+        return self.degrees
+
+    @cached_property
+    def orbit_min(self) -> np.ndarray:
+        _fill_degrees([self])
+        return self.orbit_min
 
     # -- parameters -------------------------------------------------------
 
@@ -191,6 +211,8 @@ class Algebra:
 
     def m(self) -> int:
         """The least degree of a radical basis monomial."""
+        if self._m is None:
+            self._m = int(self.degrees[1:].min())
         return self._m
 
     def __repr__(self) -> str:
@@ -255,7 +277,7 @@ class Algebra:
             gap = bound - ll
             if gap < 0:
                 raise AssertionError("Loewy length exceeded its upper bound")
-            self._report = BoundReport(ll=ll, bound=bound, gap=gap, m=self._m)
+            self._report = BoundReport(ll=ll, bound=bound, gap=gap, m=self.m())
         return self._report
 
     # -- witnesses -----------------------------------------------------------
@@ -344,12 +366,24 @@ class Algebra:
 # The Loewy DP, run in lockstep over a batch of algebras.
 # ---------------------------------------------------------------------------
 
+def _fill_degrees(algs) -> None:
+    """Give the algebras that lack them their degrees and orbit minima,
+    from one `degrees_and_orbit_min` call over all of them."""
+    todo = [alg for alg in algs if "degrees" not in vars(alg)]
+    if todo:
+        arrays = degrees_and_orbit_min([(alg.q, alg.n, alg.z) for alg in todo])
+        for alg, (degrees, orbit_min) in zip(todo, arrays):
+            alg.degrees, alg.orbit_min = degrees, orbit_min
+
+
 def loewy_profiles(algs) -> list[LoewyProfile]:
     """The Loewy profiles of a batch of algebras, in order.  The algebras
-    without a cached profile go through one lockstep DP together, and
-    their profiles are cached."""
+    without a cached profile get their degree arrays from one kernel call
+    and go through one lockstep DP together, and their profiles are
+    cached."""
     todo = [alg for alg in algs if alg._profile is None]
     if todo:
+        _fill_degrees(todo)
         for alg, profile in zip(todo, _lockstep_dp(todo)):
             alg._profile = profile
     return [alg._profile for alg in algs]
@@ -415,20 +449,36 @@ def _lockstep_dp(algs) -> list[LoewyProfile]:
         top = best(l[1:h + 1] + l[k - 1:k - h - 1:-1], axis=0, where=valid, initial=1)
         run = cells[start:stop]
         flat[run] = top if lo == hi else top[run // width - lo]
-    return [_profile(lam[r, :alg.z + 1]) for r, alg in enumerate(algs)]
+    return _profiles(lam, algs)
 
 
-def _profile(lam: np.ndarray) -> LoewyProfile:
-    z = len(lam) - 1
-    counts = np.bincount(lam[1:])
-    top = int(lam[z])
-    if top != int(lam.max()):
-        raise AssertionError("socle index must attain the maximal layer")
-    vector = (1,) + tuple(int(counts[t]) for t in range(1, top + 1))
-    if sum(vector) != z + 1:
-        raise AssertionError("Loewy vector does not sum to the dimension")
-    irreducibles = tuple((np.flatnonzero(lam[1:] == 1) + 1).tolist())
-    return LoewyProfile(lam, vector, top + 1, irreducibles)
+def _profiles(lam: np.ndarray, algs) -> list[LoewyProfile]:
+    """The profiles of the rows of the padded lam, from one bincount of
+    (row, layer) pairs.  Index 0 and the padding hold layer 0, which no
+    Loewy vector counts."""
+    rows, width = lam.shape
+    peaks = lam.max(axis=1).tolist()
+    layers = max(peaks) + 1
+    cells = lam if rows == 1 else lam + (np.arange(rows) * layers)[:, None]
+    counts = np.bincount(cells.reshape(-1), minlength=rows * layers)
+    counts = counts.reshape(rows, layers).tolist()
+    tops = lam[np.arange(rows), [alg.z for alg in algs]].tolist()
+    # the cells of layer 1 in row-major order: each row's irreducibles,
+    # ascending, one row after the other
+    irreducibles = (np.flatnonzero(lam == 1) % width).tolist()
+    out, start = [], 0
+    for r, alg in enumerate(algs):
+        top, row_counts = tops[r], counts[r]
+        if top != peaks[r]:
+            raise AssertionError(f"socle index must attain the maximal layer ({alg})")
+        vector = (1, *row_counts[1:top + 1])
+        if sum(vector) != alg.z + 1:
+            raise AssertionError(f"Loewy vector does not sum to the dimension ({alg})")
+        stop = start + row_counts[1]
+        out.append(LoewyProfile(lam[r, :alg.z + 1], vector, top + 1,
+                                tuple(irreducibles[start:stop])))
+        start = stop
+    return out
 
 
 # ---------------------------------------------------------------------------

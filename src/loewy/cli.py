@@ -28,14 +28,22 @@ def _echo(args, names) -> None:
 
 def cmd_m(args) -> int:
     q, n, e, z = args.q, args.n, args.e, args.z
+    resolved = None
     if n is not None:
-        resolve_z(q, n, e=e, z=z)
+        resolved = resolve_z(q, n, e=e, z=z)
     elif e is None or z is not None:
         raise DomainError("provide --e, or --z together with --n")
     if z is not None:
         result = mfunc.m_via_z(q, n, z)
     else:
-        result = mfunc.m_value(q, e)
+        try:
+            result = mfunc.m_value(q, e)
+        except CapacityError:
+            # an e beyond the BFS is still in reach of z when --n gives it
+            if resolved is None:
+                raise
+            z = resolved
+            result = mfunc.m_via_z(q, n, z)
     witness = result.witness
     if args.witness and witness is None:
         if result.k_min is not None:
@@ -118,10 +126,10 @@ def cmd_criteria(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    appended = database.scan_to_file(args.zmin, args.zmax, args.out, jobs=args.jobs)
+    appended = database.scan_to_file(args.zmin, args.zmax, args.out,
+                                     jobs=args.jobs, csv_path=args.csv or None)
     print(f"appended {appended} records to {args.out}")
     if args.csv:
-        database.write_csv(database.load_records(args.out), args.csv)
         print(f"wrote {args.csv}")
     return 0
 

@@ -10,10 +10,15 @@ rescans of the same range are byte-identical.
 from __future__ import annotations
 
 import json
+import os
+from contextlib import suppress
 from dataclasses import dataclass
+from itertools import chain
 
 from .algebra import Algebra, loewy_profiles, same_table
-from .arith import cyclic_subgroups, format_decimal, mult_order
+# mult_order is no longer called here, but perfbench/test_perfbench.py
+# reads it as loewy.database.mult_order
+from .arith import cyclic_subgroups, format_decimal, mult_order  # noqa: F401
 from .errors import CapacityError, DomainError
 from .invariants import invariant_report, report_difference
 
@@ -154,9 +159,9 @@ def subgroup_representatives(z: int) -> list[EquivKey]:
 
 
 def key_algebra(key: EquivKey) -> Algebra:
-    """The algebra A[q, n, z] of a key, with n = ord_z(q)."""
-    n = 1 if key.z == 1 else mult_order(key.q_rep % key.z, key.z)
-    return Algebra(key.q_rep, n, key.z)
+    """The algebra A[q, n, z] of a key, with n = ord_z(q), the length of
+    the key's subgroup."""
+    return Algebra(key.q_rep, key.order, key.z)
 
 
 def _record(key: EquivKey, alg: Algebra) -> DbRecord:
@@ -245,10 +250,11 @@ def scan_records(z_min: int, z_max: int, *, jobs: int = 1):
     return compute_records(scan_keys(z_min, z_max), jobs=jobs)
 
 
-def _resume_point(out_path: str, keys: list[EquivKey]) -> int:
+def _resume_point(out_path: str, keys: list[EquivKey], prefix=None) -> int:
     """Number of records already in out_path, which must be a prefix of
-    keys.  A final line without a newline is a torn write: it is cut off
-    and recomputed."""
+    keys; each record read is appended to prefix when one is given.  A
+    final line without a newline is a torn write: it is cut off and
+    recomputed."""
     try:
         handle = open(out_path, "rb+")
     except FileNotFoundError:
@@ -270,23 +276,38 @@ def _resume_point(out_path: str, keys: list[EquivKey]) -> int:
                     f"existing output is not a prefix of this scan "
                     f"(record {done}: z={rec.key.z} q={rec.key.q_rep})"
                 )
+            if prefix is not None:
+                prefix.append(rec)
             done += 1
             end += len(line)
     return done
 
 
-def scan_to_file(z_min: int, z_max: int, out_path: str, *, jobs: int = 1) -> int:
+def _appended(handle, records):
+    """Pass the records through, writing each to handle as a JSONL line."""
+    for record in records:
+        handle.write(record.to_json_line() + "\n")
+        yield record
+
+
+def scan_to_file(z_min: int, z_max: int, out_path: str, *, jobs: int = 1,
+                 csv_path: str | None = None) -> int:
     """Write (or extend) a JSONL scan; an existing file must be a prefix of
-    the deterministic key order and is never recomputed.  Returns the number
-    of records appended."""
+    the deterministic key order and is never recomputed.  With csv_path,
+    `write_csv` projects the records as the scan has them, the prefix it
+    read back and then each record as it is appended, so the JSONL is not
+    read a second time.  Returns the number of records appended."""
     keys = scan_keys(z_min, z_max)
-    done = _resume_point(out_path, keys)
-    appended = 0
+    prefix = None if csv_path is None else []
+    done = _resume_point(out_path, keys, prefix)
     with open(out_path, "a", encoding="utf-8") as handle:
-        for record in compute_records(keys[done:], jobs=jobs):
-            handle.write(record.to_json_line() + "\n")
-            appended += 1
-    return appended
+        new = _appended(handle, compute_records(keys[done:], jobs=jobs))
+        if csv_path is None:
+            for _ in new:
+                pass
+        else:
+            write_csv(chain(prefix, new), csv_path)
+    return len(keys) - done
 
 
 def _parse_line(line: bytes, path: str, number: int):
@@ -303,11 +324,22 @@ def load_records(path: str) -> list[DbRecord]:
 
 
 def write_csv(records, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(CSV_HEADER + "\n")
-        for record in records:
-            if isinstance(record, DbRecord):
-                handle.write(record.to_csv_row() + "\n")
+    """Write the CSV projection of the records; error rows have none.  The
+    rows go to path + ".tmp", which replaces path only once the last
+    record is written, so a run that fails leaves an earlier file as it
+    was and no partial one."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(CSV_HEADER + "\n")
+            for record in records:
+                if isinstance(record, DbRecord):
+                    handle.write(record.to_csv_row() + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def check_complete(records) -> None:

@@ -10,13 +10,18 @@ e in full-width integers.  The residue-sum kernel, `degrees_and_orbit_min`,
 also gives `Algebra` the degrees of its basis monomials and the orbit
 minima of k -> kq mod z: it sums and minimizes k*q^i mod z over i < ord_z(q)
 by pointer doubling on that permutation, in log2(ord_z(q)) passes over
-z-length arrays, never forming the z*ord_z(q) cells.
+z-length arrays, never forming the z*ord_z(q) cells.  It takes a batch of
+(q, n, z) and runs them as one: their index ranges lie end to end in one
+set of arrays (sums, minima, jumps, the permutation, a gather buffer and
+the row offsets), and each row follows the digits of its own order through
+a per-cell mask, so a scan batch costs one call instead of one per key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 
 import numpy as np
@@ -44,8 +49,12 @@ _DEGREE_CAPACITY = 1 << 62
 # _BYTES_PER_INDEX each, exceed this budget.
 INDEX_CAPACITY_BYTES = 1 << 31
 # The most int64 arrays of length z + 1 alive at once, counted in bytes.
-# The degree kernel holds four: window sums (which become the degrees),
-# window minima (the orbit minima), jumps pi^L(k) and one gather buffer.
+# The degree kernel holds five for a batch of one: window sums (which
+# become the degrees), window minima (the orbit minima), jumps pi^L(k), pi
+# itself and one gather buffer.  A batch of several rows adds per-cell
+# arrays over its concatenated indices: the row offsets for the whole run,
+# and while it starts the indices and their values within the row, seven
+# in all; its per-pass masks are bool.
 # The Loewy DP holds seven at its peak: degrees, orbit minima, layers, the
 # argsort order of the minima, the minima in that order, and np.diff's
 # output and padded input, while it finds where the minima change.  Its
@@ -168,9 +177,21 @@ def require_index_capacity(q: int, n: int, z: int) -> None:
         )
 
 
-def degrees_and_orbit_min(q: int, n: int, z: int) -> tuple[np.ndarray, np.ndarray]:
-    """(degrees, orbit_min) as int64 arrays over 0 <= k <= z, for
-    parameters that passed `require_index_capacity`.
+def _cells_with_digit(nus, sizes, bit):
+    """True when every nu has the given binary digit set, False when none
+    has, and otherwise a mask over the cells of the rows whose nu has."""
+    have = [nu >> bit & 1 for nu in nus]
+    if all(have):
+        return True
+    if not any(have):
+        return False
+    return np.repeat(np.array(have, dtype=bool), sizes)
+
+
+def degrees_and_orbit_min(params) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(degrees, orbit_min) as int64 arrays over 0 <= k <= z, for each
+    (q, n, z) of a nonempty batch of parameters that passed
+    `require_index_capacity`.
 
     degrees[k] is the digit sum of k*e, e = (q^n - 1)/z, and orbit_min[k]
     the smallest index of the orbit of k under pi(k) = kq mod z, with z a
@@ -181,40 +202,87 @@ def degrees_and_orbit_min(q: int, n: int, z: int) -> tuple[np.ndarray, np.ndarra
     Sums and minima over windows of L steps of pi grow by pointer doubling,
     along the binary digits of nu from the top: a window doubles by adding
     (taking the minimum with) itself read at jump[k] = pi^L(k), and grows by
-    one step by adding jump[k] itself.  That is log2(nu) passes over four
-    z-length arrays."""
-    nu = mult_order(q, z)
-    g = gcd(q - 1, z)
-    scale, divisor = (n // nu) * ((q - 1) // g), z // g
-    step = q % z
-    # windows of one step: S_k = k, the minimum k, jump pi(k)
-    sums = np.arange(z + 1, dtype=np.int64)
-    mins = sums.copy()
-    jump = sums * step
-    jump %= z
-    jump[z] = z
+    one step by adding the index jump[k] itself.  That is log2(nu) passes
+    over z-length arrays.
+
+    The rows of a batch run as one: their index ranges lie end to end, row
+    r from offset o_r, and one array pi maps o_r + k to o_r + kq mod z.
+    Each row follows the digits of its own nu.  Above its leading digit a
+    row holds the empty window (sum 0, minimum MAX, jump the identity),
+    which doubling leaves empty, and the one-step growth is masked to the
+    rows whose digit is 1.  A pass where every row has the same digit, as
+    in a batch of one, runs unmasked."""
+    params = list(params)
+    nus = [mult_order(q, z) for q, _, z in params]
+    sizes = [z + 1 for _, _, z in params]
+    offsets = [0, *accumulate(sizes)]
+    single = len(params) == 1
+
+    def per_cell(values):
+        # one value per row: a scalar in a batch of one, else one per cell
+        if single:
+            return values[0]
+        return np.repeat(np.array(values, dtype=np.int64), sizes)
+
+    index = np.arange(offsets[-1], dtype=np.int64)
+    off = per_cell(offsets[:-1])
+    local = index if single else index - off
+    pi = local * per_cell([q % z for q, _, z in params])
+    pi %= per_cell([z for _, _, z in params])
+    if not single:
+        pi += off
+    ends = [hi - 1 for hi in offsets[1:]]
+    pi[ends] = ends
+    top = max(nus).bit_length() - 1
+    # windows of one step (S_k = k, the minimum k, jump pi(k)) in the rows
+    # whose nu has the top digit, the empty window in the others
+    lead = _cells_with_digit(nus, sizes, top)
+    if lead is True:
+        sums, mins, jump = local, local.copy(), pi.copy()
+    else:
+        sums = np.where(lead, local, 0)
+        mins = np.where(lead, local, np.iinfo(np.int64).max)
+        jump = np.where(lead, pi, index)
+    del index, local
     buf = np.empty_like(sums)
     # every index is in range; mode="clip" lets np.take write into buf
     # directly, where the default mode goes through a buffer
-    for bit in bin(nu)[3:]:
+    for bit in range(top - 1, -1, -1):
         np.take(sums, jump, out=buf, mode="clip")
         sums += buf
         np.take(mins, jump, out=buf, mode="clip")
         np.minimum(mins, buf, out=mins)
         np.take(jump, jump, out=buf, mode="clip")
         jump, buf = buf, jump
-        if bit == "1":
-            sums += jump
-            np.minimum(mins, jump, out=mins)
-            jump *= step
-            jump %= z
-            jump[z] = z
+        grow = _cells_with_digit(nus, sizes, bit)
+        if grow is False:
+            continue
+        # the index pi^L(k) within its row
+        step = jump if single else np.subtract(jump, off, out=buf)
+        if grow is True:
+            sums += step
+            np.minimum(mins, step, out=mins)
+            np.take(pi, jump, out=buf, mode="clip")
+            jump, buf = buf, jump
+        else:
+            np.add(sums, step, out=sums, where=grow)
+            np.minimum(mins, step, out=mins, where=grow)
+            np.take(pi, jump, out=buf, mode="clip")
+            np.copyto(jump, buf, where=grow)
+    del pi, jump, off
+    scale, divisor = [], []
+    for (q, n, z), nu in zip(params, nus):
+        g = gcd(q - 1, z)
+        scale.append((n // nu) * ((q - 1) // g))
+        divisor.append(z // g)
+    divisor = per_cell(divisor)
     np.remainder(sums, divisor, out=buf)
     if buf.any():
         raise AssertionError("digit-sum formula did not divide evenly")
     sums //= divisor
-    sums *= scale
-    return sums, mins
+    sums *= per_cell(scale)
+    return [(sums[lo:hi], mins[lo:hi])
+            for lo, hi in zip(offsets, offsets[1:])]
 
 
 def m_via_z(q: int, n: int, z: int) -> MResult:
@@ -226,7 +294,7 @@ def m_via_z(q: int, n: int, z: int) -> MResult:
     request."""
     resolve_z(q, n, z=z)
     require_index_capacity(q, n, z)
-    degrees, _ = degrees_and_orbit_min(q, n, z)
+    (degrees, _), = degrees_and_orbit_min([(q, n, z)])
     k = int(degrees[1:].argmin()) + 1
     return MResult(m=int(degrees[k]), method="residue_formula", k_min=k)
 

@@ -353,23 +353,61 @@ def key_params(zs):
 
 
 class TestDegreeKernel:
-    """The pointer-doubling kernel equals the z*nu residue-sum formula."""
+    """The pointer-doubling kernel equals the z*nu residue-sum formula, run
+    as a batch of one and in batches of rows with mixed nu."""
 
     @staticmethod
-    def check(q, n, z):
-        want = residue_sum_degrees(q, n, z)
-        got = degrees_and_orbit_min(q, n, z)
-        assert all(a.dtype == np.int64 for a in got)
-        assert np.array_equal(got[0], want[0]), (q, n, z)
-        assert np.array_equal(got[1], want[1]), (q, n, z)
+    def check_batch(params, oracle=None):
+        got = degrees_and_orbit_min(params)
+        assert len(got) == len(params)
+        for (q, n, z), arrays in zip(params, got):
+            want = oracle[q, n, z] if oracle else residue_sum_degrees(q, n, z)
+            assert all(a.dtype == np.int64 for a in arrays)
+            assert np.array_equal(arrays[0], want[0]), (q, n, z)
+            assert np.array_equal(arrays[1], want[1]), (q, n, z)
 
-    def test_small_keys(self):
-        for q, n, z in key_params(range(1, 301)):
+    @classmethod
+    def check(cls, q, n, z):
+        cls.check_batch([(q, n, z)])
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        return {p: residue_sum_degrees(*p)
+                for p in key_params(list(range(1, 301)) + [9990, 9991])}
+
+    def test_small_keys(self, oracle):
+        for p in key_params(range(1, 301)):
+            self.check_batch([p], oracle)
+
+    def test_large_keys(self, oracle):
+        for p in key_params([9990, 9991]):
+            self.check_batch([p], oracle)
+        for q, n, z in key_params([997, 3000]):
             self.check(q, n, z)
 
-    def test_large_keys(self):
-        for q, n, z in key_params([997, 3000, 9990, 9991]):
-            self.check(q, n, z)
+    def test_mixed_batches(self, oracle):
+        # the scan's order, one batch per z, and random cuts of a shuffle,
+        # which put rows of every nu side by side
+        params = list(oracle)
+        small = [p for p in params if p[2] <= 300]
+        self.check_batch(small, oracle)
+        for z in (1, 2, 12, 97, 299, 300):
+            self.check_batch([p for p in params if p[2] == z], oracle)
+        rng = random.Random(20191206)
+        for _ in range(3):
+            rng.shuffle(params)
+            cuts = sorted(rng.sample(range(1, len(params)), 60))
+            for lo, hi in zip([0] + cuts, cuts + [len(params)]):
+                self.check_batch(params[lo:hi], oracle)
+
+    def test_rows_of_one_nu(self, oracle):
+        # every row shares every digit, so each pass runs unmasked over
+        # several rows
+        by_nu = {}
+        for q, n, z in oracle:
+            by_nu.setdefault(n, []).append((q, n, z))
+        for params in by_nu.values():
+            self.check_batch(params, oracle)
 
     def test_nu_below_n(self):
         # the degrees scale by n/nu
@@ -384,7 +422,7 @@ class TestDegreeKernel:
         for z in (1, 2, 3, 10, 97, 1000):
             for q, n in [(z + 1, 1), (z + 1, 3), (2 * z + 1, 2)]:
                 self.check(q, n, z)
-                _, orbit_min = degrees_and_orbit_min(q, n, z)
+                (_, orbit_min), = degrees_and_orbit_min([(q, n, z)])
                 assert orbit_min.tolist() == list(range(z + 1))
 
     def test_tiny_z(self):
@@ -439,6 +477,41 @@ class TestLockstepBatch:
         algs = key_algebras(range(1, 41))
         for alg, profile in zip(algs, loewy_profiles(algs)):
             assert np.array_equal(profile.lam, quadratic_loewy_layers(alg)), alg
+
+    def test_shuffled_cuts(self, singles):
+        # rows of mixed z and nu side by side, in the degree kernel as well
+        # as in the DP
+        rng = random.Random(1206)
+        algs = key_algebras(self.ZS)
+        order = list(range(len(algs)))
+        rng.shuffle(order)
+        cuts = sorted(rng.sample(range(1, len(order)), 40))
+        got = {}
+        for lo, hi in zip([0] + cuts, cuts + [len(order)]):
+            batch = order[lo:hi]
+            got.update(zip(batch, loewy_profiles([algs[i] for i in batch])))
+        assert_same_profiles([got[i] for i in range(len(algs))], singles)
+        for alg in algs:
+            want = Algebra(alg.q, alg.n, alg.z)
+            assert np.array_equal(alg.degrees, want.degrees), alg
+            assert np.array_equal(alg.orbit_min, want.orbit_min), alg
+
+    def test_one_kernel_call_per_batch(self, monkeypatch):
+        calls = []
+
+        def kernel(params):
+            calls.append(list(params))
+            return degrees_and_orbit_min(params)
+
+        monkeypatch.setattr(algebra, "degrees_and_orbit_min", kernel)
+        algs = key_algebras([12, 13, 97])
+        assert calls == []  # construction only checks the parameters
+        algs[0].loewy_profile()
+        loewy_profiles(algs)
+        assert algs[3].m() == Algebra(algs[3].q, algs[3].n, algs[3].z).m()
+        assert calls == [[(algs[0].q, algs[0].n, 12)],
+                         [(a.q, a.n, a.z) for a in algs[1:]],
+                         [(algs[3].q, algs[3].n, algs[3].z)]]
 
     def test_cached_profiles_are_reused(self):
         algs = key_algebras([12, 13])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -191,7 +192,7 @@ NO_TRACEBACK = [
           (["--q", "2", "--n", "4"], 1),
       ]],
     ("algebra", ["--q", "2", "--n", "15000", "--e", E_15000], 0),
-    ("m", ["--q", "2", "--n", "15000", "--e", E_15000], 2),
+    ("m", ["--q", "2", "--n", "15000", "--e", E_15000], 0),
     ("criteria", ["--q", "5", "--n", "40", "--e", "33"], 0),
     ("criteria", ["--q", "2", "--n", "15000", "--e", "7"], 0),
     ("criteria", ["--q", "2", "--n", "30000", "--e", E_15000], 2),
@@ -321,6 +322,26 @@ class TestScanPipeline:
         code, out, _ = run_cli(["verify", "--in", str(db), "--sample", "12"], capsys)
         assert code == 0
         assert "0 mismatches" in out
+
+    # sha256 of the JSONL and the CSV of `scan --zmin Z0 --zmax Z1 --csv`
+    PINNED = {
+        (2, 99): ("b68f1bd89213c55be5a77d8351ca28f8a14de40d21aba67cd0712d48329cd052",
+                  "63b43a5a26a61b10dbb7bffd53573ffc011c81babcb26fd02db5c1f61b193747"),
+        (997, 997): ("670fe59ea805650c3c08a0b99638125fd1bbddf0efe0d2bdc983884c81e625ee",
+                     "c1c689d151d865c8d73001c801a33456049503680de29cf7026ce8e3cae75dd2"),
+    }
+
+    @pytest.mark.parametrize("band", sorted(PINNED))
+    def test_scan_bytes_pinned(self, band, tmp_path, capsys):
+        db, csv = tmp_path / "db.jsonl", tmp_path / "db.csv"
+        code, out, err = run_cli(["scan", "--zmin", str(band[0]), "--zmax",
+                                  str(band[1]), "--out", str(db), "--csv",
+                                  str(csv)], capsys)
+        assert code == 0 and err == ""
+        assert out.splitlines()[2:] == [f"wrote {csv}"]
+        digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                        for path in (db, csv))
+        assert digests == self.PINNED[band]
 
     def test_malformed_file_exits_1(self, tmp_path, capsys):
         db = tmp_path / "db.jsonl"

@@ -129,6 +129,72 @@ class TestScan:
         assert "subgroup" not in lines[0]
 
 
+class TestScanCsv:
+    """`scan_to_file` writes the CSV from the records it has, and replaces
+    an earlier CSV only once the scan is done."""
+
+    def test_resumed_scan_matches_reread(self, tmp_path):
+        full = tmp_path / "full.jsonl"
+        scan_to_file(2, 40, str(full))
+        data = full.read_bytes()
+        cut = data.index(b"\n", len(data) // 2) + 1
+        for name, prefix in (("valid", data[:cut]), ("torn", data[:cut + 25])):
+            out, csv = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.csv"
+            out.write_bytes(prefix)
+            scan_to_file(2, 40, str(out), csv_path=str(csv))
+            assert out.read_bytes() == data
+            reread = tmp_path / f"{name}-reread.csv"
+            write_csv(load_records(str(out)), str(reread))
+            assert csv.read_bytes() == reread.read_bytes()
+
+    def test_error_rows_have_no_csv_row(self, tmp_path, monkeypatch):
+        import loewy.database as db
+        from loewy.errors import CapacityError
+
+        real = db.key_algebra
+
+        def flaky(key):
+            if key.z == 7 and key.q_rep == 2:
+                raise CapacityError("synthetic budget overrun")
+            return real(key)
+
+        monkeypatch.setattr(db, "key_algebra", flaky)
+        out, csv = tmp_path / "db.jsonl", tmp_path / "db.csv"
+        scan_to_file(5, 9, str(out), csv_path=str(csv))
+        records = load_records(str(out))
+        rows = csv.read_text().splitlines()
+        assert len(rows) == len(records)  # the header, one error row less
+        assert not any(row.startswith("7,2,") for row in rows)
+
+    def test_failed_scan_keeps_the_old_csv(self, tmp_path, monkeypatch):
+        import loewy.database as db
+
+        out, csv = tmp_path / "db.jsonl", tmp_path / "db.csv"
+        csv.write_text("an earlier projection\n")
+        real, batches = db.compute_batch, []
+
+        def dies(keys):
+            batches.append(keys)
+            if len(batches) == 3:
+                raise RuntimeError("killed")
+            return real(keys)
+
+        monkeypatch.setattr(db, "compute_batch", dies)
+        with pytest.raises(RuntimeError, match="killed"):
+            scan_to_file(2, 60, str(out), csv_path=str(csv))
+        assert csv.read_text() == "an earlier projection\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["db.csv", "db.jsonl"]
+        # the JSONL holds the batches done before the failure; the rerun
+        # resumes from there and writes the whole CSV
+        done = len(out.read_text().splitlines())
+        assert done == len(batches[0]) + len(batches[1])
+        monkeypatch.setattr(db, "compute_batch", real)
+        assert scan_to_file(2, 60, str(out), csv_path=str(csv)) == len(scan_keys(2, 60)) - done
+        want = tmp_path / "want.csv"
+        write_csv(scan_records(2, 60), str(want))
+        assert csv.read_bytes() == want.read_bytes()
+
+
 class TestBatches:
     """Consecutive keys share one lockstep DP; the cuts never show."""
 
