@@ -15,32 +15,49 @@ The same pass that computes the degrees records each index's orbit minimum;
 the Loewy DP runs once per orbit, at its minimum, and witnesses find their
 factors on demand from the layers and degrees.
 
-`loewy_profiles` runs that DP in lockstep for a batch of algebras.  An
-`Algebra` checks its parameters when it is made and computes its degrees
-and orbit minima on first use, so a batch fills the arrays of all its
-algebras with one kernel call.  They are then stacked into padded
-(batch, z_max + 1) arrays, each minimum value k is visited once for the
-whole batch, one 2-D step scans the splits of every row with an orbit of
-minimum k, and one bincount over the padded layers gives every row's Loewy
-vector.  A scan computes hundreds of small algebras per batch this way;
-`Algebra.loewy_profile` is a batch of one, which runs on views of its own
-arrays.
+Most layers need no DP.  Every radical factor has degree at least m, the
+least degree, so lam[k] <= deg[k] // m: the paper's bound at every index.
+A chain of L factors b_{i*}, where i* is the smallest index of degree m,
+proves lam[k] >= L, so wherever L[k] = deg[k] // m the layer is exact.  The
+certificate computes the chains of a whole batch by pointer doubling and
+certifies an orbit when any of its cells is certified; when q = 1 mod z it
+certifies every index.
+
+`loewy_profiles` runs this for a batch of algebras.  An `Algebra` checks
+its parameters when it is made and computes its degrees and orbit minima
+on first use, so a batch fills the arrays of all its algebras with one
+kernel call.  The certificate runs over their rows laid end to end.  A key
+certified at every index takes its layers straight from deg // m; the
+others, in batches of at most BATCH_CELLS padded cells, run the DP in
+lockstep: each open orbit-minimum value k is visited once for the whole
+batch, and one 2-D step scans the splits of every row with an open orbit
+of minimum k.  One bincount over the layers gives every row's Loewy vector.
+A scan computes hundreds of small algebras per batch this way;
+`Algebra.loewy_profile` is a batch of one, which runs on its own arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from math import gcd, lcm
 
 import numpy as np
 
-from .arith import cyclic_powers, mult_order, order_dividing, resolve_z
+from .arith import (
+    cyclic_powers,
+    full_power,
+    mult_order,
+    order_dividing,
+    resolve_z,
+)
 from .errors import CapacityError, DomainError
 from .mfunc import (
     degrees_and_orbit_min,
     exponent_digits,
     m_via_z,
+    per_cell,
     require_index_capacity,
 )
 
@@ -58,8 +75,10 @@ class LoewyProfile:
     c_t = #{k >= 1 : lam[k] = t}; ll = lam[z] + 1.  irreducibles are the
     k >= 1 with lam[k] = 1, ascending.  Maximal factorizations are not
     stored: `Algebra.left_factor` finds each factor on demand.  Profiles
-    come from `loewy_profiles`, one lockstep DP per batch of algebras;
-    whatever the batch, each algebra gets the profile of its batch of one.
+    come from `loewy_profiles`: the layers the chain certificate proves
+    equal to the bound deg[k] // m are taken from it, and the lockstep DP
+    computes the others; whatever the batch, each algebra gets the
+    profile of its batch of one.
     """
 
     lam: np.ndarray
@@ -203,7 +222,7 @@ class Algebra:
 
     def e(self) -> int:
         """The modulus e = (q^n - 1)/z, materialized exactly."""
-        return (self.q**self.n - 1) // self.z
+        return (full_power(self.q, self.n) - 1) // self.z
 
     def ord_e(self) -> int:
         """Order of q modulo e (divides n; computed without factoring e)."""
@@ -256,7 +275,7 @@ class Algebra:
         return self._profile
 
     def _compute_profile(self) -> LoewyProfile:
-        return _lockstep_dp([self])[0]
+        return loewy_profiles([self])[0]
 
     def loewy_vector(self) -> tuple[int, ...]:
         return self.loewy_profile().loewy_vector
@@ -363,30 +382,160 @@ class Algebra:
 
 
 # ---------------------------------------------------------------------------
-# The Loewy DP, run in lockstep over a batch of algebras.
+# Loewy profiles: the chain certificate, then the lockstep DP on the orbits
+# it leaves open.
 # ---------------------------------------------------------------------------
+
+# The lockstep DP stacks the open rows of a batch into padded
+# (rows, largest z + 1) arrays of at most this many cells; a wider row runs
+# alone, on views.  Scans cut their keys into batches of the same budget
+# for the degree kernel and the certificate.  On the scans of z in [2, 99]
+# and z = 997, 2^13 cells ran faster than 2^12, where half of the keys left
+# the DP; larger budgets raised the peak memory.
+BATCH_CELLS = 1 << 13
+
+
+def padded_batches(items, widths, cells: int):
+    """Cut the items, in order, into runs whose padded arrays, the run's
+    length times its largest width, hold at most `cells` cells; a wider
+    item runs alone."""
+    batch, width = [], 0
+    for item, w in zip(items, widths):
+        wider = max(width, w)
+        if batch and (len(batch) + 1) * wider > cells:
+            yield batch
+            batch, wider = [], w
+        batch.append(item)
+        width = wider
+    if batch:
+        yield batch
+
 
 def _fill_degrees(algs) -> None:
     """Give the algebras that lack them their degrees and orbit minima,
-    from one `degrees_and_orbit_min` call over all of them."""
+    from one `degrees_and_orbit_min` call over all of them.  A row carries
+    its nu when the algebra knows it, so the kernel does not compute it
+    again."""
     todo = [alg for alg in algs if "degrees" not in vars(alg)]
     if todo:
-        arrays = degrees_and_orbit_min([(alg.q, alg.n, alg.z) for alg in todo])
-        for alg, (degrees, orbit_min) in zip(todo, arrays):
+        params = [(alg.q, alg.n, alg.z, vars(alg)["nu"]) if "nu" in vars(alg)
+                  else (alg.q, alg.n, alg.z) for alg in todo]
+        for alg, (degrees, orbit_min) in zip(todo, degrees_and_orbit_min(params)):
             alg.degrees, alg.orbit_min = degrees, orbit_min
 
 
 def loewy_profiles(algs) -> list[LoewyProfile]:
     """The Loewy profiles of a batch of algebras, in order.  The algebras
     without a cached profile get their degree arrays from one kernel call
-    and go through one lockstep DP together, and their profiles are
-    cached."""
+    and go through one certificate pass together; the keys it leaves open
+    run the lockstep DP in batches of at most BATCH_CELLS padded cells.
+    Their profiles and least degrees m are cached."""
     todo = [alg for alg in algs if alg._profile is None]
     if todo:
         _fill_degrees(todo)
-        for alg, profile in zip(todo, _lockstep_dp(todo)):
+        for alg, profile in zip(todo, _certified_profiles(todo)):
             alg._profile = profile
     return [alg._profile for alg in algs]
+
+
+def _certified_profiles(algs) -> list[LoewyProfile]:
+    """The profiles of a nonempty batch of algebras with degree arrays.
+
+    Their rows lie end to end in one flat array per quantity (a batch of
+    one reads its own arrays).  Every layer starts at the per-index bound
+    deg[k] // m; `_certified` marks the cells where the bound is attained,
+    and the lockstep DP fills in the others, only in the rows that have
+    any."""
+    sizes = [alg.z + 1 for alg in algs]
+    offsets = [0, *accumulate(sizes)]
+    if len(algs) == 1:
+        deg, omin = algs[0].degrees, algs[0].orbit_min
+    else:
+        deg = np.concatenate([alg.degrees for alg in algs])
+        omin = np.concatenate([alg.orbit_min for alg in algs])
+    ms, steps = _least_degrees(deg, offsets)
+    for alg, m in zip(algs, ms):
+        alg._m = m
+    cert = _certified(deg, omin, offsets, ms, steps)
+    del omin
+    lam = deg // per_cell(ms, sizes)
+    done = np.logical_and.reduceat(cert, offsets[:-1]).tolist()
+    open_rows = [r for r, row_done in enumerate(done) if not row_done]
+    for rows in padded_batches(open_rows, [sizes[r] for r in open_rows], BATCH_CELLS):
+        cuts = [slice(offsets[r], offsets[r + 1]) for r in rows]
+        _lockstep_dp([algs[r] for r in rows], [lam[cut] for cut in cuts],
+                     [cert[cut] for cut in cuts])
+    del cert
+    return _profiles(lam, offsets, algs)
+
+
+def _least_degrees(deg, offsets) -> tuple[list[int], list[int]]:
+    """Each row's least degree m over its indices 1..z, and i*, the
+    smallest index of that degree."""
+    # the segments 1..z of the rows, with each next row's index 0 between
+    # them; index 0 has degree 0 < m, so it is never a hit
+    bounds = [b for lo, hi in zip(offsets, offsets[1:]) for b in (lo + 1, hi)]
+    ms = np.minimum.reduceat(deg, bounds[:-1])[::2]
+    hits = np.flatnonzero(deg == np.repeat(ms, np.diff(offsets)))
+    starts = offsets[:-1]
+    return ms.tolist(), (hits[np.searchsorted(hits, starts)] - starts).tolist()
+
+
+def _chain_roots(deg, offsets, ms, steps) -> np.ndarray:
+    """The root of every cell's chain, for rows laid end to end in deg.
+
+    In a row of least degree m = deg[i*], index k links to k - i* when
+    k - i* >= 1 and deg[i*] + deg[k - i*] = deg[k]: b_k is b_{i*} times
+    b_{k-i*}.  A chain follows the links down to its root, the first index
+    without one, and its length L[k] = (k - root[k]) / i* + 1 counts the
+    degree-m factors of one factorization of b_k, so L <= lam.  The roots
+    come by pointer doubling, in log2 of the longest chain's length passes
+    over the cells; that length is at most (z - 1) / i* + 1 and at most
+    deg[z] / m, the bound on lam."""
+    sizes = np.diff(offsets).tolist()
+    m, step = per_cell(ms, sizes), per_cell(steps, sizes)
+    jump = np.arange(offsets[-1], dtype=np.int64)
+    jump -= step
+    # deg[k - i*]; a target before the row is clipped or lies in the
+    # previous row, and the test on the row start below drops it
+    buf = np.take(deg, jump, mode="clip")
+    np.subtract(deg, buf, out=buf)
+    link = buf == m
+    link &= jump > per_cell(offsets[:-1], sizes)
+    np.invert(link, out=link)
+    np.add(jump, step, out=jump, where=link)
+    del link
+    # deg[z] = n(q - 1) is a row's largest degree
+    tops = deg[np.array(offsets[1:]) - 1].tolist()
+    longest = max(min((size - 2) // i, top // m_row - 1)
+                  for size, i, top, m_row in zip(sizes, steps, tops, ms))
+    for _ in range(longest.bit_length()):
+        np.take(jump, jump, out=buf, mode="clip")
+        jump, buf = buf, jump
+    return jump
+
+
+def _certified(deg, omin, offsets, ms, steps) -> np.ndarray:
+    """True at the cells whose layer is the per-index bound deg[k] // m.
+
+    Every radical factor has degree at least m, so L <= lam <= deg // m,
+    and lam is exact wherever L = deg // m.  Each link adds m to the
+    degree, so deg // m - L is constant along a chain, and L = deg // m
+    exactly when the chain's root has degree below 2m.  lam and deg are
+    constant on the orbits of k -> kq mod z, so one certified cell
+    certifies its orbit.  Index 0 is its own root, of degree 0."""
+    sizes = np.diff(offsets).tolist()
+    m = per_cell(ms, sizes)
+    roots = _chain_roots(deg, offsets, ms, steps)
+    # deg[root] - m < m, where 2m may not fit in int64
+    np.take(deg, roots, out=roots, mode="clip")
+    roots -= m
+    cert = roots < m
+    del roots
+    orbit = omin if len(sizes) == 1 else omin + per_cell(offsets[:-1], sizes)
+    seen = np.zeros(len(deg), dtype=bool)
+    seen[orbit[cert]] = True
+    return seen[orbit]
 
 
 def _stacked(arrays, width: int, fill: int) -> np.ndarray:
@@ -400,45 +549,56 @@ def _stacked(arrays, width: int, fill: int) -> np.ndarray:
     return out
 
 
-def _lockstep_dp(algs) -> list[LoewyProfile]:
-    """Compute the Loewy profiles of a nonempty batch of algebras.
+def _lockstep_dp(algs, lams, certs) -> None:
+    """Fill in the open cells of the layers `lams` of a nonempty batch of
+    algebras; `certs` marks the certified cells, whose layers are set.
 
     lam[k] is the best lam[i] + lam[k-i] over the valid splits with
     i <= k/2, or 1 when there is none; refining both factors into
     irreducibles shows this equals the best over irreducible left factors.
-    lam is constant on orbits, so the DP visits each orbit once, at its
-    minimum, in ascending order: every index below the minimum lies in an
-    orbit already done.  For k = z every split is valid.
+    lam is constant on orbits, so the DP visits each open orbit once, at
+    its minimum, in ascending order: every index below the minimum lies in
+    an orbit already done or certified.  For k = z every split is valid.
 
     The batch shares one padded (rows, z_max + 1) array per quantity, and
-    each minimum value k is visited once for all rows: the splits of the
-    rows r0..r1 that hold orbits with minimum k are scanned in one step on
-    a slice, and each such row's result is written over its orbits.  Rows
-    in between without such an orbit compute a result nobody reads.  A
-    step of one row runs on 1-D views, so a batch of one runs on views of
-    its own degree array."""
+    each open minimum value k is visited once for all rows: the splits of
+    the rows r0..r1 that hold open orbits with minimum k are scanned in one
+    step on a slice, and each such row's result is written over its
+    orbits.  Rows in between without such an orbit compute a result nobody
+    reads.  A step of one row runs on 1-D views, so a batch of one runs on
+    views of its own arrays."""
     rows = len(algs)
     width = max(alg.z for alg in algs) + 1
     deg = _stacked([alg.degrees for alg in algs], width, 0)
-    # padding sorts after every index, so the cells 1..z of all rows come
-    # right after the rows' index 0 (orbit minimum 0)
-    omin = _stacked([alg.orbit_min for alg in algs], width, width).reshape(-1)
-    lam = np.zeros((rows, width), dtype=np.int64)
+    lam = _stacked(lams, width, 0)
+    # certified cells, index 0 (the identity, layer 0) and the padding sort
+    # after every open cell; this copy of the orbit minima is freed before
+    # the per-orbit lists are made
+    omin = _stacked([np.where(cert, width, alg.orbit_min)
+                     for alg, cert in zip(algs, certs)], width, width)
+    omin[:, 0] = width
+    omin = omin.reshape(-1)
+    opened = int(np.count_nonzero(omin < width))
     flat = lam.reshape(-1)
     views = list(zip(deg, lam))
 
-    # Sorted by orbit minimum, the cells with minimum k are one run
+    # Sorted by orbit minimum, the open cells with minimum k are one run
     # cells[start:stop] of flat indices, from the rows r0..r1.
-    cells = np.argsort(omin)[rows:rows + sum(alg.z for alg in algs)]
+    cells = np.argsort(omin)[:opened]
     value = omin[cells]
-    steps = np.flatnonzero(np.diff(value, prepend=0))
+    del omin
+    change = np.empty(opened, dtype=bool)
+    change[0] = True
+    np.not_equal(value[1:], value[:-1], out=change[1:])
+    steps = np.flatnonzero(change)
+    del change
     minima = value[steps].tolist()
     del value
     row = cells // width
     r0 = np.minimum.reduceat(row, steps).tolist()
     r1 = np.maximum.reduceat(row, steps).tolist()
     del row
-    stops = steps[1:].tolist() + [len(cells)]
+    stops = steps[1:].tolist() + [opened]
 
     best = np.maximum.reduce
     for k, start, stop, lo, hi in zip(minima, steps.tolist(), stops, r0, r1):
@@ -449,33 +609,39 @@ def _lockstep_dp(algs) -> list[LoewyProfile]:
         top = best(l[1:h + 1] + l[k - 1:k - h - 1:-1], axis=0, where=valid, initial=1)
         run = cells[start:stop]
         flat[run] = top if lo == hi else top[run // width - lo]
-    return _profiles(lam, algs)
+    if rows > 1:
+        for out, layers in zip(lams, lam):
+            out[:] = layers[:len(out)]
 
 
-def _profiles(lam: np.ndarray, algs) -> list[LoewyProfile]:
-    """The profiles of the rows of the padded lam, from one bincount of
-    (row, layer) pairs.  Index 0 and the padding hold layer 0, which no
-    Loewy vector counts."""
-    rows, width = lam.shape
-    peaks = lam.max(axis=1).tolist()
+def _profiles(lam: np.ndarray, offsets, algs) -> list[LoewyProfile]:
+    """The profiles of the rows laid end to end in lam, from one bincount
+    of (row, layer) pairs.  Index 0 holds layer 0, which no Loewy vector
+    counts."""
+    rows = len(algs)
+    sizes = np.diff(offsets).tolist()
+    starts = offsets[:-1]
+    peaks = np.maximum.reduceat(lam, starts).tolist()
     layers = max(peaks) + 1
-    cells = lam if rows == 1 else lam + (np.arange(rows) * layers)[:, None]
-    counts = np.bincount(cells.reshape(-1), minlength=rows * layers)
-    counts = counts.reshape(rows, layers).tolist()
-    tops = lam[np.arange(rows), [alg.z for alg in algs]].tolist()
-    # the cells of layer 1 in row-major order: each row's irreducibles,
-    # ascending, one row after the other
-    irreducibles = (np.flatnonzero(lam == 1) % width).tolist()
+    cells = lam if rows == 1 else lam + per_cell([r * layers for r in range(rows)], sizes)
+    counts = np.bincount(cells, minlength=rows * layers).reshape(rows, layers)
+    del cells
+    tops = lam[[hi - 1 for hi in offsets[1:]]].tolist()
+    ones = counts[:, 1].tolist()
+    # the cells of layer 1 in order: each row's irreducibles, ascending,
+    # one row after the other
+    hits = np.flatnonzero(lam == 1)
+    irreducibles = (hits if rows == 1 else hits - np.repeat(starts, ones)).tolist()
     out, start = [], 0
     for r, alg in enumerate(algs):
-        top, row_counts = tops[r], counts[r]
+        top = tops[r]
         if top != peaks[r]:
             raise AssertionError(f"socle index must attain the maximal layer ({alg})")
-        vector = (1, *row_counts[1:top + 1])
+        vector = (1, *counts[r, 1:top + 1].tolist())
         if sum(vector) != alg.z + 1:
             raise AssertionError(f"Loewy vector does not sum to the dimension ({alg})")
-        stop = start + row_counts[1]
-        out.append(LoewyProfile(lam[r, :alg.z + 1], vector, top + 1,
+        stop = start + ones[r]
+        out.append(LoewyProfile(lam[offsets[r]:offsets[r + 1]], vector, top + 1,
                                 tuple(irreducibles[start:stop])))
         start = stop
     return out

@@ -23,30 +23,46 @@ _TRIAL_LIMIT = 10**7
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PRIME_GUARD = 1 << 64
 
+# The most bits of q^n formed in full (q^n has at least n*(bit_length(q) - 1)
+# of them).  e = (q^n - 1)/z is printed in decimal, which takes about 2 s at
+# this size; the scans up to z = 10000 stay below 2^18 bits.
+POWER_CAPACITY_BITS = 1 << 20
+
 # The grammar int(text, 10) reads: Unicode digits in groups joined by single
 # underscores, an optional sign, surrounding whitespace.
 _DECIMAL_INT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
+def full_power(q: int, n: int) -> int:
+    """q^n in full, for q >= 2 and n >= 1; refused (CapacityError) above
+    POWER_CAPACITY_BITS bits, before it is formed."""
+    if n * (q.bit_length() - 1) > POWER_CAPACITY_BITS:
+        raise CapacityError(
+            f"q^n has more than {POWER_CAPACITY_BITS} bits, the most this "
+            "package forms in full"
+        )
+    return q**n
 
 
 def resolve_z(q: int, n: int, *, e: int | None = None,
               z: int | None = None) -> int:
     """z = (q^n - 1)/e for A(q, n, e) = A[q, n, z], from e or z or both:
     the one check that the parameters are consistent.  z alone is tested
-    with q^n = 1 mod z, without forming q^n.  e, z and q^n - 1 can be of
-    any size, so no message prints them."""
+    with q^n = 1 mod z, without forming q^n; e alone is tested the same
+    way before z = (q^n - 1)/e is formed.  e, z and q^n - 1 can be of any
+    size, so no message prints them."""
     if q < 2:
         raise DomainError(f"q must be >= 2, got {q}")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if e is None and z is None:
         raise DomainError("one of e, z is required")
-    if e is not None and z is not None and z * e != q**n - 1:
+    if e is not None and z is not None and z * e != full_power(q, n) - 1:
         raise DomainError(f"inconsistent: z*e is not q^n - 1 (q={q}, n={n})")
     if z is None:
-        top = q**n - 1
-        if e < 1 or top % e:
+        if e < 1 or pow(q, n, e) != 1 % e:
             raise DomainError(f"e does not divide q^n - 1 (q={q}, n={n})")
-        return top // e
+        return (full_power(q, n) - 1) // e
     if z < 1:
         raise DomainError("z must be >= 1")
     if pow(q, n, z) != 1 % z:

@@ -1,6 +1,7 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 domain errors (bad parameters), 2 capacity errors.
+Exit codes: 0 success, 1 domain errors (bad parameters, or a file that
+cannot be read or written), 2 capacity errors.
 Every run prints a parameter echo line first; all numeric output is exact.
 """
 
@@ -157,6 +158,8 @@ def cmd_verify(args) -> int:
                if isinstance(rec, database.DbRecord)]
     if not records:
         raise DomainError("no records to verify")
+    if args.sample < 0:
+        raise DomainError(f"sample must be >= 0, got {args.sample}")
     rng = random.Random(args.seed)
     sample = rng.sample(records, min(args.sample, len(records)))
     bad = 0
@@ -266,6 +269,9 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

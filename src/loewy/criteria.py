@@ -16,6 +16,7 @@ from .arith import (
     cyclotomic_value,
     euler_phi,
     format_decimal,
+    full_power,
     is_pierpont_prime,
     is_prime,
     mult_order,
@@ -73,7 +74,7 @@ class Parameters:
 def resolve_parameters(q: int, n: int, *, e: int | None = None,
                        z: int | None = None) -> Parameters:
     z = resolve_z(q, n, e=e, z=z)
-    e = (q**n - 1) // z
+    e = (full_power(q, n) - 1) // z
     if z <= _Z_RESIDUE_CAP and z < e:
         m = m_via_z(q, n, z).m
     elif e <= BFS_CAPACITY:

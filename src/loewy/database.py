@@ -15,20 +15,21 @@ from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain
 
-from .algebra import Algebra, loewy_profiles, same_table
+from .algebra import (
+    BATCH_CELLS,
+    Algebra,
+    loewy_profiles,
+    padded_batches,
+    same_table,
+)
 # mult_order is no longer called here, but perfbench/test_perfbench.py
 # reads it as loewy.database.mult_order
 from .arith import cyclic_subgroups, format_decimal, mult_order  # noqa: F401
 from .errors import CapacityError, DomainError
 from .invariants import invariant_report, report_difference
+from .mfunc import INDEX_CAPACITY
 
 SCHEMA_VERSION = 1
-
-# Consecutive scan keys share one lockstep Loewy DP while their padded
-# (keys, largest z + 1) arrays stay within this many cells.  On the scans of
-# z in [2, 99] and z = 997, larger budgets saved little time and raised the
-# peak memory.  From z = BATCH_CELLS / 2 on, every key runs alone, on views.
-BATCH_CELLS = 1 << 12
 
 _FIELDS = ("schema", "z", "q", "n", "subgroup", "e", "m", "ll", "bound",
            "gap", "loewy_vector", "flags", "runtime_ms")
@@ -147,11 +148,20 @@ CSV_HEADER = ("z,q,n,e,m,ll,bound,gap,uniserial,bound_attained,ll_three,"
               "spike_vector,loewy_vector")
 
 
+def _require_key_capacity(z: int) -> None:
+    if z > INDEX_CAPACITY:
+        raise CapacityError(
+            f"z exceeds {INDEX_CAPACITY}, the largest z an algebra holds"
+        )
+
+
 def subgroup_representatives(z: int) -> list[EquivKey]:
     """One key per cyclic subgroup of (Z/z)^x, sorted by (order, smallest
-    generator); q = 1 is replaced by q = z + 1."""
+    generator); q = 1 is replaced by q = z + 1.  A z beyond INDEX_CAPACITY
+    is refused before its units are swept."""
     if z < 1:
         raise DomainError(f"z must be >= 1, got {z}")
+    _require_key_capacity(z)
     if z == 1:
         return [EquivKey(z=1, subgroup=(1,), q_rep=2)]
     return [EquivKey(z=z, subgroup=sub, q_rep=z + 1 if gen == 1 else gen)
@@ -159,9 +169,11 @@ def subgroup_representatives(z: int) -> list[EquivKey]:
 
 
 def key_algebra(key: EquivKey) -> Algebra:
-    """The algebra A[q, n, z] of a key, with n = ord_z(q), the length of
-    the key's subgroup."""
-    return Algebra(key.q_rep, key.order, key.z)
+    """The algebra A[q, n, z] of a key, with n = nu = ord_z(q), the length
+    of the key's subgroup."""
+    alg = Algebra(key.q_rep, key.order, key.z)
+    alg.nu = key.order
+    return alg
 
 
 def _record(key: EquivKey, alg: Algebra) -> DbRecord:
@@ -188,6 +200,7 @@ def compute_record(key: EquivKey) -> DbRecord:
 def scan_keys(z_min: int, z_max: int) -> list[EquivKey]:
     if z_min < 1 or z_max < z_min:
         raise DomainError(f"invalid range [{z_min}, {z_max}]")
+    _require_key_capacity(z_max)
     keys = []
     for z in range(z_min, z_max + 1):
         keys.extend(subgroup_representatives(z))
@@ -195,8 +208,8 @@ def scan_keys(z_min: int, z_max: int) -> list[EquivKey]:
 
 
 def compute_batch(keys) -> list:
-    """The records of the keys, in order, from one lockstep Loewy DP over
-    their algebras.  A CapacityError from a key's algebra becomes that
+    """The records of the keys, in order, from one `loewy_profiles` call
+    over their algebras.  A CapacityError from a key's algebra becomes that
     key's error row, never a silent drop, and the rest of the batch
     computes normally; anything else propagates (it is a bug)."""
     built = []
@@ -211,27 +224,19 @@ def compute_batch(keys) -> list:
 
 
 def _batches(keys):
-    """Cut consecutive keys into batches whose padded DP arrays, keys times
+    """Cut consecutive keys into batches whose padded arrays, keys times
     (largest z + 1), hold at most BATCH_CELLS cells; a wider key runs
-    alone."""
-    batch, width = [], 0
-    for key in keys:
-        wider = max(width, key.z + 1)
-        if batch and (len(batch) + 1) * wider > BATCH_CELLS:
-            yield batch
-            batch, wider = [], key.z + 1
-        batch.append(key)
-        width = wider
-    if batch:
-        yield batch
+    alone.  A batch shares one degree kernel call and one certificate
+    pass, and the keys that stay open share one lockstep DP."""
+    return padded_batches(keys, [key.z + 1 for key in keys], BATCH_CELLS)
 
 
 def compute_records(keys, *, jobs: int = 1):
     """Yield the records of the given keys in order.  Consecutive keys are
-    cut into batches under BATCH_CELLS, and each batch runs one lockstep
-    Loewy DP (`compute_batch`), so the batch boundaries never show in the
-    output.  With jobs > 1 a worker pool computes the batches out of order
-    and the pool's mapper restores the order."""
+    cut into batches under BATCH_CELLS, and each batch runs one
+    `compute_batch`, so the batch boundaries never show in the output.
+    With jobs > 1 a worker pool computes the batches out of order and the
+    pool's mapper restores the order."""
     if jobs <= 1:
         for batch in _batches(keys):
             yield from compute_batch(batch)

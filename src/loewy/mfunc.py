@@ -41,6 +41,11 @@ from .arith import (
 from .errors import CapacityError, DomainError
 
 BFS_CAPACITY = 1 << 31
+# The largest e the grouping tables take: they compute m(q, e) for every
+# unit (or every cyclic subgroup) modulo e, each a search over Z/e.  The
+# residue grouping took 7 s at e = 4099 and did not finish within 290 s at
+# e = 16411, on 2 CPUs.
+GROUPS_CAPACITY = 1 << 16
 # The most exponents a witness multiset of m terms may hold.
 WITNESS_CAPACITY = 1 << 24
 # Degrees reach n(q-1); up to this bound a sum of two stays in int64.
@@ -55,11 +60,16 @@ INDEX_CAPACITY_BYTES = 1 << 31
 # arrays over its concatenated indices: the row offsets for the whole run,
 # and while it starts the indices and their values within the row, seven
 # in all; its per-pass masks are bool.
-# The Loewy DP holds seven at its peak: degrees, orbit minima, layers, the
-# argsort order of the minima, the minima in that order, and np.diff's
-# output and padded input, while it finds where the minima change.  Its
-# Python lists of orbit minima come on top, about 125 bytes per orbit,
-# which is per index only when q = 1 mod z.
+# The chain certificate holds four besides bool masks: degrees, orbit
+# minima, the chain pointers and their out= buffer.  The layers come after
+# it, and the Loewy vector's counts, list and tuple take three more when
+# every index has its own layer, as when q = 1 mod z; the certificate
+# settles every index then, so no DP runs.  The Loewy DP, on the orbits
+# the certificate leaves open, holds six at its peak: degrees, orbit
+# minima, layers, the orbit minima with the certified cells masked, their
+# argsort order and the minima in that order, besides a bool mask of where
+# they change.  Its Python lists of open orbit minima come on top, about
+# 125 bytes per orbit.
 _BYTES_PER_INDEX = 56
 # The largest z under the budget.  It keeps z^2 < 2^63, so the products
 # k*q and the sums of nu < z residues below z stay in int64.
@@ -188,10 +198,20 @@ def _cells_with_digit(nus, sizes, bit):
     return np.repeat(np.array(have, dtype=bool), sizes)
 
 
+def per_cell(values, sizes):
+    """One value per row of rows laid end to end: the value itself for a
+    single row, else an int64 array that repeats each row's value over its
+    cells."""
+    if len(sizes) == 1:
+        return values[0]
+    return np.repeat(np.array(values, dtype=np.int64), sizes)
+
+
 def degrees_and_orbit_min(params) -> list[tuple[np.ndarray, np.ndarray]]:
     """(degrees, orbit_min) as int64 arrays over 0 <= k <= z, for each
     (q, n, z) of a nonempty batch of parameters that passed
-    `require_index_capacity`.
+    `require_index_capacity`.  A row may carry nu = ord_z(q) as a fourth
+    entry, (q, n, z, nu); the kernel computes it for the rows without.
 
     degrees[k] is the digit sum of k*e, e = (q^n - 1)/z, and orbit_min[k]
     the smallest index of the orbit of k under pi(k) = kq mod z, with z a
@@ -212,23 +232,18 @@ def degrees_and_orbit_min(params) -> list[tuple[np.ndarray, np.ndarray]]:
     which doubling leaves empty, and the one-step growth is masked to the
     rows whose digit is 1.  A pass where every row has the same digit, as
     in a batch of one, runs unmasked."""
-    params = list(params)
-    nus = [mult_order(q, z) for q, _, z in params]
+    nus = [row[3] if len(row) > 3 else mult_order(row[0], row[2])
+           for row in params]
+    params = [row[:3] for row in params]
     sizes = [z + 1 for _, _, z in params]
     offsets = [0, *accumulate(sizes)]
     single = len(params) == 1
 
-    def per_cell(values):
-        # one value per row: a scalar in a batch of one, else one per cell
-        if single:
-            return values[0]
-        return np.repeat(np.array(values, dtype=np.int64), sizes)
-
     index = np.arange(offsets[-1], dtype=np.int64)
-    off = per_cell(offsets[:-1])
+    off = per_cell(offsets[:-1], sizes)
     local = index if single else index - off
-    pi = local * per_cell([q % z for q, _, z in params])
-    pi %= per_cell([z for _, _, z in params])
+    pi = local * per_cell([q % z for q, _, z in params], sizes)
+    pi %= per_cell([z for _, _, z in params], sizes)
     if not single:
         pi += off
     ends = [hi - 1 for hi in offsets[1:]]
@@ -275,12 +290,12 @@ def degrees_and_orbit_min(params) -> list[tuple[np.ndarray, np.ndarray]]:
         g = gcd(q - 1, z)
         scale.append((n // nu) * ((q - 1) // g))
         divisor.append(z // g)
-    divisor = per_cell(divisor)
+    divisor = per_cell(divisor, sizes)
     np.remainder(sums, divisor, out=buf)
     if buf.any():
         raise AssertionError("digit-sum formula did not divide evenly")
     sums //= divisor
-    sums *= per_cell(scale)
+    sums *= per_cell(scale, sizes)
     return [(sums[lo:hi], mins[lo:hi])
             for lo, hi in zip(offsets, offsets[1:])]
 
@@ -686,9 +701,18 @@ def render_m_grid_csv(q_range, e_range) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _require_groups_capacity(e: int) -> None:
+    _require_positive("e", e)
+    if e > GROUPS_CAPACITY:
+        raise CapacityError(
+            f"e={format_decimal(e)} exceeds {GROUPS_CAPACITY}, the largest e "
+            "the grouping tables take"
+        )
+
+
 def m_groups_by_residue(e: int) -> dict[int, list[int]]:
     """m -> all residues q != 1 modulo e with that value, ascending."""
-    _require_positive("e", e)
+    _require_groups_capacity(e)
     groups: dict[int, list[int]] = {}
     for q in range(2, e):
         if q % e != 1 and gcd(q, e) == 1:
@@ -699,7 +723,7 @@ def m_groups_by_residue(e: int) -> dict[int, list[int]]:
 def m_groups_by_generator(e: int) -> dict[int, list[int]]:
     """m -> smallest generators of the nontrivial cyclic subgroups of
     (Z/e)^x, grouped by the (subgroup-invariant) value of m."""
-    _require_positive("e", e)
+    _require_groups_capacity(e)
     groups: dict[int, list[int]] = {}
     for q, sub in cyclic_subgroups(e):
         if len(sub) > 1:

@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -11,7 +13,7 @@ from conftest import (
     residue_rows,
     residue_sum_degrees,
 )
-from loewy import algebra
+from loewy import algebra, mfunc
 from loewy.algebra import (
     Algebra,
     concat_witness,
@@ -25,7 +27,7 @@ from loewy.algebra import (
 from loewy.arith import mult_order
 from loewy.database import subgroup_representatives
 from loewy.errors import CapacityError, DomainError
-from loewy.mfunc import degrees_and_orbit_min
+from loewy.mfunc import _BYTES_PER_INDEX, degrees_and_orbit_min
 
 
 def unreachable(*args, **kwargs):
@@ -425,6 +427,22 @@ class TestDegreeKernel:
                 (_, orbit_min), = degrees_and_orbit_min([(q, n, z)])
                 assert orbit_min.tolist() == list(range(z + 1))
 
+    def test_given_nu(self, monkeypatch):
+        # a row may carry nu = ord_z(q); the kernel computes it for the
+        # rows without, and the arrays are the same
+        params = list(key_params(range(1, 301)))
+        want = degrees_and_orbit_min(params)
+        given = [(q, n, z, n) for q, n, z in params]
+        mixed = [row if i % 2 else row[:3] for i, row in enumerate(given)]
+        got = [degrees_and_orbit_min(mixed)]
+        monkeypatch.setattr(mfunc, "mult_order", unreachable)
+        got += [degrees_and_orbit_min(given),
+                [degrees_and_orbit_min([row])[0] for row in given]]
+        for arrays in got:
+            for (deg, omin), (want_deg, want_omin), row in zip(arrays, want, given):
+                assert np.array_equal(deg, want_deg), row
+                assert np.array_equal(omin, want_omin), row
+
     def test_tiny_z(self):
         for q, n in [(2, 1), (2, 5), (3, 2), (7, 3), (2**62 + 1, 1)]:
             self.check(q, n, 1)
@@ -519,6 +537,162 @@ class TestLockstepBatch:
         profiles = loewy_profiles(algs)
         assert profiles[2] is first
         assert all(alg.loewy_profile() is p for alg, p in zip(algs, profiles))
+
+
+def certify_nothing(deg, *args):
+    return np.zeros(len(deg), dtype=bool)
+
+
+def dp_profiles(algs, monkeypatch):
+    """The profiles of fresh copies of the algebras from the lockstep DP
+    alone: the certificate certifies no cell."""
+    fresh = [Algebra(alg.q, alg.n, alg.z) for alg in algs]
+    with monkeypatch.context() as patch:
+        patch.setattr(algebra, "_certified", certify_nothing)
+        return [profile for batch in algebra.padded_batches(
+                    fresh, [alg.z + 1 for alg in fresh], algebra.BATCH_CELLS)
+                for profile in loewy_profiles(batch)]
+
+
+def chain_lengths(deg, m, step):
+    """Oracle for the certificate's chains, one index at a time: L[k] is
+    1 + L[k - i*] when k - i* >= 1 and deg[i*] + deg[k - i*] = deg[k],
+    else 1 (index 0 included)."""
+    deg = deg.tolist()
+    length = [1] * len(deg)
+    for k in range(step + 1, len(deg)):
+        if m + deg[k - step] == deg[k]:
+            length[k] = length[k - step] + 1
+    return np.array(length)
+
+
+class TestCertificate:
+    """The chain certificate: a chain of L degree-m factors gives
+    L <= lam <= deg // m, and where L reaches deg // m the layer is exact;
+    the profiles equal those of the DP alone."""
+
+    ZS = TestLockstepBatch.ZS
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        return key_algebras(list(range(1, 301)) + [997])
+
+    def test_chains_bound_the_layers(self, small, monkeypatch):
+        exact = dp_profiles(small, monkeypatch)
+        for alg, profile in zip(small, exact):
+            deg, lam = alg.degrees, profile.lam
+            offsets = [0, alg.z + 1]
+            (m,), (step,) = algebra._least_degrees(deg, offsets)
+            assert m == alg.m() and deg[step] == m and (deg[1:step] > m).all()
+            roots = algebra._chain_roots(deg, offsets, [m], [step])
+            length = (np.arange(alg.z + 1) - roots) // step + 1
+            assert np.array_equal(length, chain_lengths(deg, m, step)), alg
+            assert (length[1:] <= lam[1:]).all() and (lam <= deg // m).all(), alg
+            cert = algebra._certified(deg, alg.orbit_min, offsets, [m], [step])
+            assert np.array_equal(lam[cert], deg[cert] // m), alg
+            # one certified cell certifies its orbit
+            assert cert[(length == deg // m) & (np.arange(alg.z + 1) > 0)].all()
+            assert np.array_equal(cert, cert[alg.orbit_min]), alg
+
+    def test_rows_end_to_end(self, small):
+        # a batch's rows lie end to end; no chain crosses a row start
+        for batch in algebra.padded_batches(small, [a.z + 1 for a in small], 1 << 12):
+            deg = np.concatenate([alg.degrees for alg in batch])
+            omin = np.concatenate([alg.orbit_min for alg in batch])
+            offsets = [0]
+            for alg in batch:
+                offsets.append(offsets[-1] + alg.z + 1)
+            ms, steps = algebra._least_degrees(deg, offsets)
+            roots = algebra._chain_roots(deg, offsets, ms, steps)
+            cert = algebra._certified(deg, omin, offsets, ms, steps)
+            for r, alg in enumerate(batch):
+                lo, hi = offsets[r], offsets[r + 1]
+                one = [0, alg.z + 1]
+                assert (ms[r], steps[r]) == (alg.m(), int(deg[lo + 1:hi].argmin()) + 1)
+                assert np.array_equal(roots[lo:hi] - lo, algebra._chain_roots(
+                    alg.degrees, one, [ms[r]], [steps[r]])), alg
+                assert np.array_equal(cert[lo:hi], algebra._certified(
+                    alg.degrees, alg.orbit_min, one, [ms[r]], [steps[r]])), alg
+
+    def test_equals_the_dp(self, monkeypatch):
+        algs = key_algebras(self.ZS + [3000])
+        assert_same_profiles(loewy_profiles(algs), dp_profiles(algs, monkeypatch))
+        for alg in algs:
+            assert alg.m() == int(alg.degrees[1:].min())
+
+    @pytest.mark.slow
+    def test_equals_the_dp_at_9996(self, monkeypatch):
+        algs = key_algebras([9996])
+        got = [alg.loewy_profile() for alg in algs]
+        assert_same_profiles(got, dp_profiles(algs, monkeypatch))
+
+    @staticmethod
+    def certificate(alg):
+        offsets = [0, alg.z + 1]
+        ms, steps = algebra._least_degrees(alg.degrees, offsets)
+        return algebra._certified(alg.degrees, alg.orbit_min, offsets, ms, steps)
+
+    def test_shares(self):
+        # keys certified at every index, and certified orbit minima
+        def shares(zs):
+            keys = minima = certified = 0
+            for alg in key_algebras(zs):
+                cert = self.certificate(alg)
+                inner = alg.orbit_min[1:]
+                keys += bool(cert.all())
+                minima += len(np.unique(inner))
+                certified += len(np.unique(inner[cert[1:]]))
+            return keys, certified, minima
+
+        assert shares(range(2, 100)) == (463, 15305, 19917)
+        assert shares([997]) == (11, 2362, 2364)
+
+    def test_open_keys_only_reach_the_dp(self, monkeypatch):
+        rows = []
+        real = algebra._lockstep_dp
+
+        def dp(algs, lams, certs):
+            rows.extend(algs)
+            return real(algs, lams, certs)
+
+        monkeypatch.setattr(algebra, "_lockstep_dp", dp)
+        algs = key_algebras([997])
+        loewy_profiles(algs)
+        assert rows == [alg for alg in algs if not self.certificate(alg).all()]
+        assert len(rows) == 1
+
+    def test_degrees_at_capacity(self):
+        # m = n(q - 1) = 2^62, the largest degree an algebra takes, in a
+        # batch of several rows: 2m does not fit in int64
+        algs = [Algebra(2**62 + 1, 1, 1), Algebra(3, 1, 2)]
+        want = [Algebra(alg.q, alg.n, alg.z).loewy_profile() for alg in algs]
+        assert_same_profiles(loewy_profiles(algs), want)
+        assert want[0].loewy_vector == (1, 1) and algs[0].m() == 2**62
+
+    def test_nu_one_takes_no_dp(self, monkeypatch):
+        # q = 1 mod z: lam[k] = deg[k] = k, and the chain off i* = 1
+        # certifies every index
+        monkeypatch.setattr(algebra, "_lockstep_dp", unreachable)
+        alg = Algebra(200001, 1, 200000)
+        start = time.perf_counter()
+        profile = alg.loewy_profile()
+        assert time.perf_counter() - start < 2
+        assert profile.ll == 200001 and profile.loewy_vector == (1,) * 200001
+        assert profile.irreducibles == (1,)
+
+    @pytest.mark.parametrize("q,n,z", [
+        (200001, 1, 200000),
+        pytest.param(5, 10, 295928, marks=pytest.mark.slow),
+    ])
+    def test_peak_memory_per_index(self, q, n, z):
+        alg = Algebra(q, n, z)
+        tracemalloc.start()
+        try:
+            alg.loewy_profile()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (z + 1) <= _BYTES_PER_INDEX
 
 
 class TestWitnessPins:

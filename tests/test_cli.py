@@ -1,11 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
+import signal
 import subprocess
 import sys
 import time
+from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from loewy import algebra, mfunc
 from loewy.arith import format_decimal, parse_decimal
@@ -210,6 +216,22 @@ NO_TRACEBACK = [
     ("m", ["--q", "2", "--e", "7", "--z", "3"], 1),
     ("scan", ["--zmin", "0", "--zmax", "3", "--out", "unused.jsonl"], 1),
     ("scan", ["--zmin", "-3", "--zmax", "3", "--out", "unused.jsonl"], 1),
+    # q^n beyond POWER_CAPACITY_BITS is refused before it is formed; e
+    # alone is tested for dividing q^n - 1 first
+    ("algebra", ["--q", "2", "--n", str(2**40), "--z", "1"], 2),
+    ("algebra", ["--q", "2", "--n", str(2**40), "--e", "3"], 2),
+    ("algebra", ["--q", "2", "--n", str(2**40), "--e", "7"], 1),
+    ("criteria", ["--q", "2", "--n", str(2**40), "--z", "1"], 2),
+    ("m", ["--q", "2", "--n", str(2**40), "--e", "3", "--z", "5"], 2),
+    # z beyond INDEX_CAPACITY is refused before its units are swept
+    ("scan", ["--zmin", str(2**40), "--zmax", str(2**40), "--out", "unused.jsonl"], 2),
+    ("scan", ["--zmin", "2", "--zmax", str(2**63), "--out", "unused.jsonl"], 2),
+    # e beyond GROUPS_CAPACITY is refused before the grouping tables start
+    ("mtable", ["--emin", str(2**31 + 1), "--emax", str(2**31 + 1),
+                "--mode", "generators"], 2),
+    ("mtable", ["--emin", str(2**32), "--emax", str(2**32), "--mode", "residues"], 2),
+    # a file that cannot be read is a domain error
+    ("stats", ["--in", "no/such/scan.jsonl"], 1),
 ]
 
 
@@ -323,6 +345,9 @@ class TestScanPipeline:
         assert code == 0
         assert "0 mismatches" in out
 
+        code, _, err = run_cli(["verify", "--in", str(db), "--sample", "-1"], capsys)
+        assert code == 1 and err == "error: sample must be >= 0, got -1\n"
+
     # sha256 of the JSONL and the CSV of `scan --zmin Z0 --zmax Z1 --csv`
     PINNED = {
         (2, 99): ("b68f1bd89213c55be5a77d8351ca28f8a14de40d21aba67cd0712d48329cd052",
@@ -405,3 +430,153 @@ class TestHelpGolden:
         for action in parser._subparsers._group_actions[0].choices.values():
             for option in action._option_string_actions:
                 assert option in text
+
+
+class Overrun(BaseException):
+    """Raised by the fuzz test's timer; no handler of the program catches
+    it."""
+
+
+class TestFuzz:
+    """Random invocations of every subcommand with small, huge and
+    degenerate integers end with exit code 0, 1 or 2 and at most one
+    message on stderr, never a traceback.  The process may map at most
+    FUZZ_HEADROOM more bytes meanwhile, so a capacity check that comes
+    after a large allocation fails here with a MemoryError, and a call
+    that runs past EXAMPLE_SECONDS fails with Overrun."""
+
+    FUZZ_HEADROOM = 1 << 30
+    EXAMPLE_SECONDS = 5
+    HUGE = (2**31 + 1, 2**32, 2**62 + 1, 2**63, 2**64 + 1, 10**40)
+    # valid inputs whose z lies above this are real work, not what this
+    # test is about
+    Z_WORK = 1000
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("fuzz")
+        assert main(["scan", "--zmin", "2", "--zmax", "12",
+                     "--out", str(work / "small.jsonl")]) == 0
+        (work / "garbage.jsonl").write_text("garbage\n")
+        (work / "empty.jsonl").write_text("")
+        return work
+
+    @classmethod
+    def arguments(cls, work):
+        ints = st.one_of(st.integers(-3, 64), st.sampled_from((0, 1, -1, 2)),
+                         st.sampled_from(cls.HUGE))
+
+        def flag(name, values=ints):
+            return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+        def switch(name):
+            return st.sampled_from(([], [name]))
+
+        def span(lo, hi):
+            return st.tuples(ints, st.integers(-1, 3)).map(
+                lambda p: [lo, p[0], hi, p[0] + p[1]])
+
+        @st.composite
+        def parameters(draw):
+            # --q and --n, and --e, --z or both; e is often (q^n - 1)/z
+            q, n, z = draw(ints), draw(ints), draw(ints)
+            cheap = q >= 2 and 1 <= n <= 64 and z >= 1
+            if cheap and draw(st.booleans()):
+                z = gcd(z, q**n - 1)
+            e = draw(st.one_of(st.none(), ints, st.just("cofactor")))
+            if e == "cofactor":
+                e = (q**n - 1) // z if cheap else 1
+            flags = ["--q", q, "--n", n]
+            if e is not None:
+                flags += ["--e", e]
+            if e is None or draw(st.booleans()):
+                flags += ["--z", z]
+            return flags
+
+        files = st.sampled_from(["small", "garbage", "empty", "missing"]).map(
+            lambda name: ["--in", work / f"{name}.jsonl"])
+        commands = st.one_of(
+            st.tuples(st.just(["m"]), parameters(), switch("--witness"),
+                      switch("--json")),
+            st.tuples(st.just(["m", "--q"]), st.tuples(ints), flag("--e")),
+            st.tuples(st.just(["mtable"]), span("--qmin", "--qmax"),
+                      span("--emin", "--emax"),
+                      flag("--mode", st.sampled_from(["grid", "residues", "generators"]))),
+            st.tuples(st.just(["algebra"]), parameters(), switch("--report"),
+                      switch("--invariants"), switch("--json"), flag("--witness")),
+            st.tuples(st.just(["criteria"]), parameters()),
+            st.tuples(st.just(["scan"]), span("--zmin", "--zmax"),
+                      st.just(["--out", work / "out.jsonl"]),
+                      flag("--jobs", st.sampled_from([-1, 0, 1])),
+                      st.sampled_from(([], ["--csv", work / "out.csv"]))),
+            st.tuples(st.just(["stats"]), files, switch("--json")),
+            st.tuples(st.just(["screen"]), files, flag("--z")),
+            st.tuples(st.just(["verify"]), files, flag("--sample"), flag("--seed")),
+        )
+        return commands.map(lambda parts: [str(a) for part in parts for a in part])
+
+    @classmethod
+    def real_work(cls, args) -> bool:
+        """True for valid parameters whose algebra has Z_WORK < z within
+        the index capacity, or 64 < z with --invariants."""
+        values = {}
+        for name, value in zip(args, args[1:]):
+            if name in ("--q", "--n", "--e", "--z"):
+                values[name] = int(value)
+        q, n, e, z = (values.get(name) for name in ("--q", "--n", "--e", "--z"))
+        if z is None and None not in (q, n, e) and q >= 2 and 1 <= n <= 4096 // q.bit_length():
+            z, rem = divmod(q**n - 1, e) if e >= 1 else (None, 1)
+            z = None if rem else z
+        if z is None:
+            return False
+        limit = 64 if "--invariants" in args else cls.Z_WORK
+        return limit < z <= mfunc.INDEX_CAPACITY
+
+    @staticmethod
+    def mapped_bytes() -> int:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmSize:"):
+                    return int(line.split()[1]) * 1024
+        raise OSError("no VmSize")
+
+    def test_exit_codes(self, inputs):
+        resource = pytest.importorskip("resource")
+        try:
+            limit = self.mapped_bytes() + self.FUZZ_HEADROOM
+        except OSError:
+            pytest.skip("the mapped size of this process is not readable")
+        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+        if hard != resource.RLIM_INFINITY and hard < limit:
+            pytest.skip("the address-space limit is already lower")
+
+        @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+        @given(self.arguments(inputs))
+        def check(args):
+            assume(not self.real_work(args))
+            for name in ("out.jsonl", "out.csv"):
+                (inputs / name).unlink(missing_ok=True)
+            out, err = io.StringIO(), io.StringIO()
+            signal.setitimer(signal.ITIMER_REAL, self.EXAMPLE_SECONDS)
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(args)
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            message = err.getvalue()
+            assert code in (0, 1, 2), args
+            assert message.count("\n") == (code != 0), (args, message)
+            assert "Traceback" not in message, args
+
+        def overrun(signum, frame):
+            raise Overrun(f"a call ran past {self.EXAMPLE_SECONDS} s")
+
+        start = time.perf_counter()
+        handler = signal.signal(signal.SIGALRM, overrun)
+        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+        try:
+            check()
+        finally:
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+            signal.signal(signal.SIGALRM, handler)
+        assert time.perf_counter() - start < 20

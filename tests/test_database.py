@@ -250,6 +250,23 @@ class TestBatches:
             else:
                 assert rec == want
 
+    def test_keys_bring_their_order(self, monkeypatch):
+        # n = nu = ord_z(q) is the length of a key's subgroup, so a scan
+        # computes no multiplicative order for the degree kernel
+        import loewy.algebra
+        import loewy.database as db
+        import loewy.mfunc
+
+        def unreachable(*args):
+            raise AssertionError("a scan computed an order")
+
+        want = list(scan_records(2, 60))
+        for key in scan_keys(2, 60):
+            assert db.key_algebra(key).nu == key.order == len(key.subgroup)
+        monkeypatch.setattr(loewy.mfunc, "mult_order", unreachable)
+        monkeypatch.setattr(loewy.algebra, "mult_order", unreachable)
+        assert list(scan_records(2, 60)) == want
+
     def test_cut_under_budget(self):
         import loewy.database as db
 
