@@ -26,18 +26,21 @@ certifies every index.
 `loewy_profiles` runs this for a batch of algebras.  An `Algebra` checks
 its parameters when it is made and computes its degrees and orbit minima
 on first use, so a batch fills the arrays of all its algebras with one
-kernel call.  The certificate runs over their rows laid end to end.  A key
-certified at every index takes its layers straight from deg // m; the
-others, in batches of at most BATCH_CELLS padded cells, run the DP in
-lockstep: each open orbit-minimum value k is visited once for the whole
-batch, and one 2-D step scans the splits of every row with an open orbit
-of minimum k.  One bincount over the layers gives every row's Loewy vector.
-A scan computes hundreds of small algebras per batch this way;
+kernel call.  The certificate and the DP run over their rows laid end to
+end.  The layers are the radical powers, so the DP takes each open layer
+as one more than the best layer of b_{k-i} over the irreducible left
+factors b_i of b_k, the rule by which witnesses are unwound.  Both parts
+of such a split lie on a lower bound level deg // m, so the DP steps
+through the levels in ascending order, all rows at once: one level's open
+orbit minima are computed together, and each result is copied over its
+orbit.  One bincount over the layers gives every row's Loewy vector.  A
+scan computes hundreds of small algebras per batch this way;
 `Algebra.loewy_profile` is a batch of one, which runs on its own arrays.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -76,9 +79,10 @@ class LoewyProfile:
     k >= 1 with lam[k] = 1, ascending.  Maximal factorizations are not
     stored: `Algebra.left_factor` finds each factor on demand.  Profiles
     come from `loewy_profiles`: the layers the chain certificate proves
-    equal to the bound deg[k] // m are taken from it, and the lockstep DP
-    computes the others; whatever the batch, each algebra gets the
-    profile of its batch of one.
+    equal to the bound deg[k] // m are taken from it, and the DP over
+    irreducible left factors computes the others, level by level;
+    whatever the batch, each algebra gets the profile of its batch of
+    one.
     """
 
     lam: np.ndarray
@@ -369,29 +373,27 @@ class Algebra:
     def flags(self) -> dict[str, bool]:
         vector = self.loewy_vector()
         report = self.bound_report()
+        tail = vector[2:].count(1)
         return {
-            "uniserial": all(c == 1 for c in vector),
+            "uniserial": vector[:2].count(1) + tail == len(vector),
             "bound_attained": report.gap == 0,
             "ll_three": report.ll == 3,
-            "spike_vector": (
-                len(vector) > 3
-                and vector[0] == 1
-                and all(c == 1 for c in vector[2:])
-            ),
+            "spike_vector": (len(vector) > 3 and vector[0] == 1
+                             and tail == len(vector) - 2),
         }
 
 
 # ---------------------------------------------------------------------------
-# Loewy profiles: the chain certificate, then the lockstep DP on the orbits
-# it leaves open.
+# Loewy profiles: the chain certificate, then the level DP on the orbits it
+# leaves open.
 # ---------------------------------------------------------------------------
 
-# The lockstep DP stacks the open rows of a batch into padded
-# (rows, largest z + 1) arrays of at most this many cells; a wider row runs
-# alone, on views.  Scans cut their keys into batches of the same budget
-# for the degree kernel and the certificate.  On the scans of z in [2, 99]
-# and z = 997, 2^13 cells ran faster than 2^12, where half of the keys left
-# the DP; larger budgets raised the peak memory.
+# Scans cut their keys into batches of at most this many padded cells, keys
+# times (largest z + 1); a wider key runs alone.  A batch shares one degree
+# kernel call, one certificate pass and one DP, all over its rows laid end
+# to end, so nothing is padded.  On the scans of z in [2, 99] and z = 997,
+# 2^13 cells ran faster than 2^12 when the DP still padded its rows; larger
+# budgets raised the peak memory.
 BATCH_CELLS = 1 << 13
 
 
@@ -427,9 +429,8 @@ def _fill_degrees(algs) -> None:
 def loewy_profiles(algs) -> list[LoewyProfile]:
     """The Loewy profiles of a batch of algebras, in order.  The algebras
     without a cached profile get their degree arrays from one kernel call
-    and go through one certificate pass together; the keys it leaves open
-    run the lockstep DP in batches of at most BATCH_CELLS padded cells.
-    Their profiles and least degrees m are cached."""
+    and go through one certificate pass and one DP together.  Their
+    profiles and least degrees m are cached."""
     todo = [alg for alg in algs if alg._profile is None]
     if todo:
         _fill_degrees(todo)
@@ -444,8 +445,7 @@ def _certified_profiles(algs) -> list[LoewyProfile]:
     Their rows lie end to end in one flat array per quantity (a batch of
     one reads its own arrays).  Every layer starts at the per-index bound
     deg[k] // m; `_certified` marks the cells where the bound is attained,
-    and the lockstep DP fills in the others, only in the rows that have
-    any."""
+    and `_level_dp` fills in the others when there are any."""
     sizes = [alg.z + 1 for alg in algs]
     offsets = [0, *accumulate(sizes)]
     if len(algs) == 1:
@@ -457,15 +457,10 @@ def _certified_profiles(algs) -> list[LoewyProfile]:
     for alg, m in zip(algs, ms):
         alg._m = m
     cert = _certified(deg, omin, offsets, ms, steps)
-    del omin
     lam = deg // per_cell(ms, sizes)
-    done = np.logical_and.reduceat(cert, offsets[:-1]).tolist()
-    open_rows = [r for r, row_done in enumerate(done) if not row_done]
-    for rows in padded_batches(open_rows, [sizes[r] for r in open_rows], BATCH_CELLS):
-        cuts = [slice(offsets[r], offsets[r + 1]) for r in rows]
-        _lockstep_dp([algs[r] for r in rows], [lam[cut] for cut in cuts],
-                     [cert[cut] for cut in cuts])
-    del cert
+    if not cert.all():
+        _level_dp(deg, lam, omin, cert, offsets)
+    del cert, omin
     return _profiles(lam, offsets, algs)
 
 
@@ -538,80 +533,76 @@ def _certified(deg, omin, offsets, ms, steps) -> np.ndarray:
     return seen[orbit]
 
 
-def _stacked(arrays, width: int, fill: int) -> np.ndarray:
-    """The arrays as the rows of one (len(arrays), width) int64 array,
-    padded with fill; a single array is returned as a (1, z + 1) view."""
-    if len(arrays) == 1:
-        return arrays[0][None, :]
-    out = np.full((len(arrays), width), fill, dtype=np.int64)
-    for row, values in zip(out, arrays):
-        row[:len(values)] = values
-    return out
+def _level_dp(deg, lam, omin, cert, offsets) -> None:
+    """Fill in the open layers of rows laid end to end.  deg, lam and omin
+    (each index's orbit minimum within its row) hold one cell per index,
+    cert marks the certified cells, and lam holds the per-index bound
+    deg // m in every cell.
+
+    The layers are the radical powers, J^{t+1} = J * J^t, so lam[k] is
+    1 + max lam[k - i] over the irreducible i < k with b_k = b_i * b_{k-i},
+    or 1 when there is none; `Algebra.left_factor` unwinds witnesses by the
+    same rule.  Both parts of such a split have degree at most deg[k] - m,
+    so a lower bound level deg // m than b_k: the open cells of one level
+    depend only on lower levels.  The levels run in ascending order.  Each
+    takes the splits of its open orbit minima over the irreducibles found
+    so far, copies each layer over its orbit and adds its new irreducibles
+    to the candidates.  A row's index 0, the identity, stays in layer 0."""
+    starts = np.array(offsets[:-1])
+    sizes = np.diff(offsets).tolist()
+    orbit = omin if len(sizes) == 1 else omin + per_cell(offsets[:-1], sizes)
+    # one sort puts the open cells in level order, and the certified cells
+    # and each row's index 0 after them
+    last = np.iinfo(np.int64).max
+    key = np.where(cert, last, lam)
+    key[starts] = last
+    opened = len(key) - int(np.count_nonzero(key == last))
+    order = key.argsort()
+    del key
+    # certified irreducibles; the open ones join at level 1
+    irr = np.flatnonzero(cert & (lam == 1))
+    # about five int64 temporaries per pair: at most 10 bytes per cell
+    budget = len(lam) // 4 + 1
+    pos = 0
+    while pos < opened:
+        # the cells from pos on still hold their bound, their sort key
+        end = bisect_right(order, lam[order[pos]], pos, opened, key=lam.__getitem__)
+        run = order[pos:end]
+        pos = end
+        source = orbit[run]
+        mins = run[source == run]
+        lam[mins] = 1 + _best_splits(deg, lam, irr, mins, starts, budget)
+        layers = lam[source]
+        lam[run] = layers
+        new = run[layers == 1]
+        if len(new):
+            irr = np.sort(np.concatenate((irr, new)))
 
 
-def _lockstep_dp(algs, lams, certs) -> None:
-    """Fill in the open cells of the layers `lams` of a nonempty batch of
-    algebras; `certs` marks the certified cells, whose layers are set.
-
-    lam[k] is the best lam[i] + lam[k-i] over the valid splits with
-    i <= k/2, or 1 when there is none; refining both factors into
-    irreducibles shows this equals the best over irreducible left factors.
-    lam is constant on orbits, so the DP visits each open orbit once, at
-    its minimum, in ascending order: every index below the minimum lies in
-    an orbit already done or certified.  For k = z every split is valid.
-
-    The batch shares one padded (rows, z_max + 1) array per quantity, and
-    each open minimum value k is visited once for all rows: the splits of
-    the rows r0..r1 that hold open orbits with minimum k are scanned in one
-    step on a slice, and each such row's result is written over its
-    orbits.  Rows in between without such an orbit compute a result nobody
-    reads.  A step of one row runs on 1-D views, so a batch of one runs on
-    views of its own arrays."""
-    rows = len(algs)
-    width = max(alg.z for alg in algs) + 1
-    deg = _stacked([alg.degrees for alg in algs], width, 0)
-    lam = _stacked(lams, width, 0)
-    # certified cells, index 0 (the identity, layer 0) and the padding sort
-    # after every open cell; this copy of the orbit minima is freed before
-    # the per-orbit lists are made
-    omin = _stacked([np.where(cert, width, alg.orbit_min)
-                     for alg, cert in zip(algs, certs)], width, width)
-    omin[:, 0] = width
-    omin = omin.reshape(-1)
-    opened = int(np.count_nonzero(omin < width))
-    flat = lam.reshape(-1)
-    views = list(zip(deg, lam))
-
-    # Sorted by orbit minimum, the open cells with minimum k are one run
-    # cells[start:stop] of flat indices, from the rows r0..r1.
-    cells = np.argsort(omin)[:opened]
-    value = omin[cells]
-    del omin
-    change = np.empty(opened, dtype=bool)
-    change[0] = True
-    np.not_equal(value[1:], value[:-1], out=change[1:])
-    steps = np.flatnonzero(change)
-    del change
-    minima = value[steps].tolist()
-    del value
-    row = cells // width
-    r0 = np.minimum.reduceat(row, steps).tolist()
-    r1 = np.maximum.reduceat(row, steps).tolist()
-    del row
-    stops = steps[1:].tolist() + [opened]
-
-    best = np.maximum.reduce
-    for k, start, stop, lo, hi in zip(minima, steps.tolist(), stops, r0, r1):
-        # d and l hold the indices 0..k along axis 0
-        d, l = views[lo] if lo == hi else (deg[lo:hi + 1].T, lam[lo:hi + 1].T)
-        h = k // 2
-        valid = d[1:h + 1] + d[k - 1:k - h - 1:-1] == d[k]
-        top = best(l[1:h + 1] + l[k - 1:k - h - 1:-1], axis=0, where=valid, initial=1)
-        run = cells[start:stop]
-        flat[run] = top if lo == hi else top[run // width - lo]
-    if rows > 1:
-        for out, layers in zip(lams, lam):
-            out[:] = layers[:len(out)]
+def _best_splits(deg, lam, irr, mins, starts, budget: int) -> np.ndarray:
+    """max lam[k - i] over the irreducible i < k with b_k = b_i * b_{k-i},
+    or 0 when there is none, for the cells `mins` of the rows that begin
+    at `starts`; `irr` holds the irreducible cells found so far, ascending.
+    The (k, i) pairs, minimum after minimum, are visited in chunks of at
+    most `budget`."""
+    base = starts[starts.searchsorted(mins, "right") - 1]
+    lo = irr.searchsorted(base + 1)
+    count = irr.searchsorted(mins) - lo
+    ends = count.cumsum()
+    shift, whole, top = lo - ends + count, mins + base, deg[mins]
+    best = np.zeros(len(mins), dtype=np.int64)
+    total = int(ends[-1])
+    for start in range(0, total, budget):
+        stop = min(start + budget, total)
+        # the minima u..v-1 own the pairs start..stop-1
+        u, v = ends.searchsorted((start, stop - 1), "right") + (0, 1)
+        size = np.minimum(ends[u:v], stop) - np.maximum(ends[u:v] - count[u:v], start)
+        owner = np.arange(u, v).repeat(size)
+        left = irr[np.arange(start, stop) + shift[owner]]
+        right = whole[owner] - left
+        split = deg[left] + deg[right] == top[owner]
+        np.maximum.at(best, owner[split], lam[right[split]])
+    return best
 
 
 def _profiles(lam: np.ndarray, offsets, algs) -> list[LoewyProfile]:

@@ -224,10 +224,10 @@ def compute_batch(keys) -> list:
 
 
 def _batches(keys):
-    """Cut consecutive keys into batches whose padded arrays, keys times
-    (largest z + 1), hold at most BATCH_CELLS cells; a wider key runs
-    alone.  A batch shares one degree kernel call and one certificate
-    pass, and the keys that stay open share one lockstep DP."""
+    """Cut consecutive keys into batches of at most BATCH_CELLS padded
+    cells, keys times (largest z + 1); a wider key runs alone.  A batch
+    shares one degree kernel call, one certificate pass and one Loewy
+    DP."""
     return padded_batches(keys, [key.z + 1 for key in keys], BATCH_CELLS)
 
 

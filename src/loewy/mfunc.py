@@ -41,10 +41,9 @@ from .arith import (
 from .errors import CapacityError, DomainError
 
 BFS_CAPACITY = 1 << 31
-# The largest e the grouping tables take: they compute m(q, e) for every
-# unit (or every cyclic subgroup) modulo e, each a search over Z/e.  The
-# residue grouping took 7 s at e = 4099 and did not finish within 290 s at
-# e = 16411, on 2 CPUs.
+# The largest e the grouping tables take: they compute m(q, e) once per
+# nontrivial cyclic subgroup modulo e, each a search over Z/e.  Either
+# grouping took 2.4 s at e = 65521, on 2 CPUs.
 GROUPS_CAPACITY = 1 << 16
 # The most exponents a witness multiset of m terms may hold.
 WITNESS_CAPACITY = 1 << 24
@@ -64,12 +63,14 @@ INDEX_CAPACITY_BYTES = 1 << 31
 # minima, the chain pointers and their out= buffer.  The layers come after
 # it, and the Loewy vector's counts, list and tuple take three more when
 # every index has its own layer, as when q = 1 mod z; the certificate
-# settles every index then, so no DP runs.  The Loewy DP, on the orbits
-# the certificate leaves open, holds six at its peak: degrees, orbit
-# minima, layers, the orbit minima with the certified cells masked, their
-# argsort order and the minima in that order, besides a bool mask of where
-# they change.  Its Python lists of open orbit minima come on top, about
-# 125 bytes per orbit.
+# settles every index then, so no DP runs.  The Loewy DP, on the cells the
+# certificate leaves open, holds five while it sorts them: degrees, orbit
+# minima, layers, the sort key (levels, the certified cells last) and its
+# argsort order, besides the certificate's bool mask; the key goes before
+# the first level.  Then come the positions of the irreducibles found so
+# far, the cells of one level, and one chunk of (orbit minimum,
+# irreducible) pairs: at most a quarter as many pairs as cells, each
+# holding about five int64 temporaries, so about 10 bytes per index.
 _BYTES_PER_INDEX = 56
 # The largest z under the budget.  It keeps z^2 < 2^63, so the products
 # k*q and the sums of nu < z residues below z stay in int64.
@@ -711,12 +712,17 @@ def _require_groups_capacity(e: int) -> None:
 
 
 def m_groups_by_residue(e: int) -> dict[int, list[int]]:
-    """m -> all residues q != 1 modulo e with that value, ascending."""
+    """m -> all residues q != 1 modulo e with that value, ascending.  Each
+    such unit generates one nontrivial cyclic subgroup, on which m is
+    constant, so m is computed once per subgroup and given to its
+    generators a^j, gcd(j, ord a) = 1."""
     _require_groups_capacity(e)
     groups: dict[int, list[int]] = {}
-    for q in range(2, e):
-        if q % e != 1 and gcd(q, e) == 1:
-            groups.setdefault(m_value(q, e).m, []).append(q)
+    for a, sub in cyclic_subgroups(e):
+        if len(sub) > 1:
+            powers = cyclic_powers(a, e)
+            groups.setdefault(m_value(a, e).m, []).extend(
+                r for j, r in enumerate(powers) if gcd(j, len(sub)) == 1)
     return {m: sorted(v) for m, v in sorted(groups.items())}
 
 

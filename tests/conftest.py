@@ -2,6 +2,7 @@
 the tests compare the package against.  None of them is part of `loewy`."""
 
 import sys
+from math import gcd
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -10,7 +11,7 @@ import numpy as np  # noqa: E402
 
 from loewy.arith import cyclic_powers, cyclic_subgroups, is_prime, resolve_z  # noqa: E402
 from loewy.errors import CapacityError, DomainError  # noqa: E402
-from loewy.mfunc import MResult, m_bfs  # noqa: E402
+from loewy.mfunc import MResult, m_bfs, m_value  # noqa: E402
 
 
 def qadic_expand(x: int, q: int) -> list[int]:
@@ -78,6 +79,16 @@ def m_by_subgroup(e: int) -> dict[int, int]:
         if len(sub) > 1:
             out[q] = m_bfs(q, e).m
     return out
+
+
+def m_groups_per_unit(e: int) -> dict[int, list[int]]:
+    """Oracle for `m_groups_by_residue`: one m search per unit q != 1
+    modulo e, grouped by value, each group ascending."""
+    groups: dict[int, list[int]] = {}
+    for q in range(2, e):
+        if q % e != 1 and gcd(q, e) == 1:
+            groups.setdefault(m_value(q, e).m, []).append(q)
+    return {m: sorted(v) for m, v in sorted(groups.items())}
 
 
 def exact_exponent_vector(q: int, n: int, z: int, k: int) -> list[int]:

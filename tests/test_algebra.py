@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 import tracemalloc
@@ -25,7 +26,7 @@ from loewy.algebra import (
     verify_witness,
 )
 from loewy.arith import mult_order
-from loewy.database import subgroup_representatives
+from loewy.database import _batches, key_algebra, scan_keys, subgroup_representatives
 from loewy.errors import CapacityError, DomainError
 from loewy.mfunc import _BYTES_PER_INDEX, degrees_and_orbit_min
 
@@ -462,8 +463,9 @@ class TestDegreeKernel:
 
 
 class TestLockstepBatch:
-    """`loewy_profiles` runs one DP for a whole batch; every batch, however
-    it is cut, gives each algebra the profile of its batch of one."""
+    """`loewy_profiles` runs one DP over a whole batch, its rows laid end to
+    end; every batch, however it is cut, gives each algebra the profile of
+    its batch of one."""
 
     ZS = list(range(1, 141)) + [997]
 
@@ -544,8 +546,8 @@ def certify_nothing(deg, *args):
 
 
 def dp_profiles(algs, monkeypatch):
-    """The profiles of fresh copies of the algebras from the lockstep DP
-    alone: the certificate certifies no cell."""
+    """The profiles of fresh copies of the algebras from the DP alone: the
+    certificate certifies no cell."""
     fresh = [Algebra(alg.q, alg.n, alg.z) for alg in algs]
     with monkeypatch.context() as patch:
         patch.setattr(algebra, "_certified", certify_nothing)
@@ -616,9 +618,12 @@ class TestCertificate:
 
     def test_equals_the_dp(self, monkeypatch):
         algs = key_algebras(self.ZS + [3000])
-        assert_same_profiles(loewy_profiles(algs), dp_profiles(algs, monkeypatch))
-        for alg in algs:
+        exact = dp_profiles(algs, monkeypatch)
+        assert_same_profiles(loewy_profiles(algs), exact)
+        for alg, profile in zip(algs, exact):
             assert alg.m() == int(alg.degrees[1:].min())
+            # the identity stays in layer 0 when index 0 is not certified
+            assert profile.lam[0] == 0
 
     @pytest.mark.slow
     def test_equals_the_dp_at_9996(self, monkeypatch):
@@ -649,14 +654,15 @@ class TestCertificate:
 
     def test_open_keys_only_reach_the_dp(self, monkeypatch):
         rows = []
-        real = algebra._lockstep_dp
-
-        def dp(algs, lams, certs):
-            rows.extend(algs)
-            return real(algs, lams, certs)
-
-        monkeypatch.setattr(algebra, "_lockstep_dp", dp)
+        real = algebra._level_dp
         algs = key_algebras([997])
+
+        def dp(deg, lam, omin, cert, offsets):
+            done = np.logical_and.reduceat(cert, offsets[:-1])
+            rows.extend(alg for alg, row_done in zip(algs, done) if not row_done)
+            return real(deg, lam, omin, cert, offsets)
+
+        monkeypatch.setattr(algebra, "_level_dp", dp)
         loewy_profiles(algs)
         assert rows == [alg for alg in algs if not self.certificate(alg).all()]
         assert len(rows) == 1
@@ -672,7 +678,7 @@ class TestCertificate:
     def test_nu_one_takes_no_dp(self, monkeypatch):
         # q = 1 mod z: lam[k] = deg[k] = k, and the chain off i* = 1
         # certifies every index
-        monkeypatch.setattr(algebra, "_lockstep_dp", unreachable)
+        monkeypatch.setattr(algebra, "_level_dp", unreachable)
         alg = Algebra(200001, 1, 200000)
         start = time.perf_counter()
         profile = alg.loewy_profile()
@@ -682,6 +688,7 @@ class TestCertificate:
 
     @pytest.mark.parametrize("q,n,z", [
         (200001, 1, 200000),
+        (2, 20, 1048575),
         pytest.param(5, 10, 295928, marks=pytest.mark.slow),
     ])
     def test_peak_memory_per_index(self, q, n, z):
@@ -693,6 +700,47 @@ class TestCertificate:
         finally:
             tracemalloc.stop()
         assert peak / (z + 1) <= _BYTES_PER_INDEX
+
+
+def layer_digest(profiles) -> str:
+    """sha256 of the layers lam of the profiles, one after the other."""
+    digest = hashlib.sha256()
+    for profile in profiles:
+        digest.update(profile.lam.tobytes())
+    return digest.hexdigest()
+
+
+def scan_profiles(z_min, z_max):
+    """The profiles of the scan keys of [z_min, z_max], in the batches a
+    scan cuts them into."""
+    return [profile for batch in _batches(scan_keys(z_min, z_max))
+            for profile in loewy_profiles([key_algebra(key) for key in batch])]
+
+
+class TestLayerPins:
+    """Digests of the layers, recorded while the padded lockstep DP, which
+    stepped through orbit-minimum values, still computed the open cells."""
+
+    def test_scan_keys_3000(self, monkeypatch):
+        want = "c9ef83af8c9fbd0d0da7f036318dae54793f5bc17925bec719f91062aeeb6432"
+        assert layer_digest(scan_profiles(2999, 3001)) == want
+        # the DP alone gives the same layers, the identity in layer 0
+        monkeypatch.setattr(algebra, "_certified", certify_nothing)
+        profiles = scan_profiles(2999, 3001)
+        assert all(profile.lam[0] == 0 for profile in profiles)
+        assert layer_digest(profiles) == want
+
+    @pytest.mark.parametrize("q,n,z,want", [
+        (5, 10, 295928, "572faa28cb40194d5ac0f9c834ba2964f36b4efaddd952a4db7edc68d1f2a6d1"),
+        (2, 20, 1048575, "de94e25671ac46d67aef3cdd319a313eeaebfebf7d2d883b23bd8f940d6cc28f"),
+    ], ids=["5-10-295928", "2-20-1048575"])
+    def test_large_algebras(self, q, n, z, want):
+        assert layer_digest([Algebra(q, n, z).loewy_profile()]) == want
+
+    @pytest.mark.slow
+    def test_scan_keys_9996(self):
+        want = "33880ac55c89972d02b75bcacd1b9947086702d89d73bf21329267d23a5c45ce"
+        assert layer_digest(scan_profiles(9996, 9996)) == want
 
 
 class TestWitnessPins:

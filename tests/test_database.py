@@ -196,7 +196,8 @@ class TestScanCsv:
 
 
 class TestBatches:
-    """Consecutive keys share one lockstep DP; the cuts never show."""
+    """Consecutive keys share one degree kernel call, one certificate pass
+    and one DP over their rows laid end to end; the cuts never show."""
 
     def test_budget_never_shows(self, tmp_path, monkeypatch):
         import loewy.database as db

@@ -1,9 +1,10 @@
+import time
 from dataclasses import replace
 from math import gcd
 
 import pytest
 
-from conftest import m_digit_scan
+from conftest import m_digit_scan, m_groups_per_unit
 from loewy import mfunc
 from loewy.arith import cyclic_powers
 from loewy.errors import CapacityError, DomainError
@@ -326,6 +327,17 @@ class TestTables:
     def test_groups_by_residue(self):
         groups = m_groups_by_residue(31)
         assert groups[5] == [2, 4, 8, 16]
+
+    def test_groups_by_residue_per_unit(self):
+        for e in range(1, 301):
+            assert m_groups_by_residue(e) == m_groups_per_unit(e), e
+
+    def test_groups_by_residue_once_per_subgroup(self):
+        # one m search per unit took 7.8 s at this e, on 2 CPUs
+        start = time.perf_counter()
+        groups = m_groups_by_residue(4099)
+        assert time.perf_counter() - start < 2
+        assert sum(len(qs) for qs in groups.values()) == 4097
 
     def test_groups_by_generator(self):
         groups = m_groups_by_generator(61)
