@@ -25,17 +25,18 @@ certifies every index.
 
 `loewy_profiles` runs this for a batch of algebras.  An `Algebra` checks
 its parameters when it is made and computes its degrees and orbit minima
-on first use, so a batch fills the arrays of all its algebras with one
-kernel call.  The certificate and the DP run over their rows laid end to
-end.  The layers are the radical powers, so the DP takes each open layer
-as one more than the best layer of b_{k-i} over the irreducible left
-factors b_i of b_k, the rule by which witnesses are unwound.  Both parts
-of such a split lie on a lower bound level deg // m, so the DP steps
-through the levels in ascending order, all rows at once: one level's open
-orbit minima are computed together, and each result is copied over its
-orbit.  One bincount over the layers gives every row's Loewy vector.  A
-scan computes hundreds of small algebras per batch this way;
-`Algebra.loewy_profile` is a batch of one, which runs on its own arrays.
+on first use, as a batch of one.  A batch makes one kernel call, which
+lays its rows end to end in two flat arrays; each algebra gets its views
+of them, and the certificate, the DP and the Loewy vectors run on those
+same arrays.  The layers are the radical powers, so the DP takes each
+open layer as one more than the best layer of b_{k-i} over the
+irreducible left factors b_i of b_k, the rule by which witnesses are
+unwound.  Both parts of such a split lie on a lower bound level deg // m,
+so the DP steps through the levels in ascending order, all rows at once:
+one level's open orbit minima are computed together, and each result is
+copied over its orbit.  One bincount over the layers gives every row's
+Loewy vector.  A scan computes hundreds of small algebras per batch this
+way; `Algebra.loewy_profile` is a batch of one.
 """
 
 from __future__ import annotations
@@ -76,19 +77,23 @@ class LoewyProfile:
     of b_k (lam[0] = 0 for the identity); it is constant on the orbits of
     k -> kq mod z.  loewy_vector = (1, c_1, ..., c_L) with
     c_t = #{k >= 1 : lam[k] = t}; ll = lam[z] + 1.  irreducibles are the
-    k >= 1 with lam[k] = 1, ascending.  Maximal factorizations are not
-    stored: `Algebra.left_factor` finds each factor on demand.  Profiles
-    come from `loewy_profiles`: the layers the chain certificate proves
-    equal to the bound deg[k] // m are taken from it, and the DP over
-    irreducible left factors computes the others, level by level;
-    whatever the batch, each algebra gets the profile of its batch of
-    one.
+    k >= 1 with lam[k] = 1, ascending, read off lam on first use.
+    Maximal factorizations are not stored: `Algebra.left_factor` finds each
+    factor on demand.  Profiles come from `loewy_profiles`: the layers the
+    chain certificate proves equal to the bound deg[k] // m are taken from
+    it, and the DP over irreducible left factors computes the others, level
+    by level; whatever the batch, each algebra gets the profile of its
+    batch of one.
     """
 
     lam: np.ndarray
     loewy_vector: tuple[int, ...]
     ll: int
-    irreducibles: tuple[int, ...]
+
+    @cached_property
+    def irreducibles(self) -> tuple[int, ...]:
+        # lam[0] = 0, so every hit is some k >= 1
+        return tuple(np.flatnonzero(self.lam == 1).tolist())
 
 
 @dataclass(frozen=True)
@@ -186,8 +191,8 @@ class Algebra:
     `degrees_and_orbit_min`, within the capacity that
     `require_index_capacity` states and shares with `m_via_z`.  The
     constructor only checks the parameters; the first read of either array
-    fills both, as a batch of one unless `loewy_profiles` filled them with
-    its batch."""
+    fills both, as a batch of one, and `loewy_profiles` fills them again
+    from its batch's kernel call."""
 
     def __init__(self, q: int, n: int, z: int):
         resolve_z(q, n, z=z)
@@ -201,17 +206,24 @@ class Algebra:
 
     # -- the degree arrays, filled on first use ---------------------------
 
-    # _fill_degrees stores both arrays on the instance, where later reads
-    # find them without calling these
+    # each read fills both arrays, where later reads find them without
+    # calling these
     @cached_property
     def degrees(self) -> np.ndarray:
-        _fill_degrees([self])
+        self.degrees, self.orbit_min = degrees_and_orbit_min([self._kernel_row()])
         return self.degrees
 
     @cached_property
     def orbit_min(self) -> np.ndarray:
-        _fill_degrees([self])
+        self.degrees, self.orbit_min = degrees_and_orbit_min([self._kernel_row()])
         return self.orbit_min
+
+    def _kernel_row(self) -> tuple[int, ...]:
+        """The algebra's row of the degree kernel; it carries nu when the
+        algebra knows it, so the kernel does not compute it again."""
+        if "nu" in vars(self):
+            return self.q, self.n, self.z, self.nu
+        return self.q, self.n, self.z
 
     # -- parameters -------------------------------------------------------
 
@@ -388,80 +400,37 @@ class Algebra:
 # leaves open.
 # ---------------------------------------------------------------------------
 
-# Scans cut their keys into batches of at most this many padded cells, keys
-# times (largest z + 1); a wider key runs alone.  A batch shares one degree
-# kernel call, one certificate pass and one DP, all over its rows laid end
-# to end, so nothing is padded.  On the scans of z in [2, 99] and z = 997,
-# 2^13 cells ran faster than 2^12 when the DP still padded its rows; larger
-# budgets raised the peak memory.
-BATCH_CELLS = 1 << 13
-
-
-def padded_batches(items, widths, cells: int):
-    """Cut the items, in order, into runs whose padded arrays, the run's
-    length times its largest width, hold at most `cells` cells; a wider
-    item runs alone."""
-    batch, width = [], 0
-    for item, w in zip(items, widths):
-        wider = max(width, w)
-        if batch and (len(batch) + 1) * wider > cells:
-            yield batch
-            batch, wider = [], w
-        batch.append(item)
-        width = wider
-    if batch:
-        yield batch
-
-
-def _fill_degrees(algs) -> None:
-    """Give the algebras that lack them their degrees and orbit minima,
-    from one `degrees_and_orbit_min` call over all of them.  A row carries
-    its nu when the algebra knows it, so the kernel does not compute it
-    again."""
-    todo = [alg for alg in algs if "degrees" not in vars(alg)]
-    if todo:
-        params = [(alg.q, alg.n, alg.z, vars(alg)["nu"]) if "nu" in vars(alg)
-                  else (alg.q, alg.n, alg.z) for alg in todo]
-        for alg, (degrees, orbit_min) in zip(todo, degrees_and_orbit_min(params)):
-            alg.degrees, alg.orbit_min = degrees, orbit_min
-
-
 def loewy_profiles(algs) -> list[LoewyProfile]:
-    """The Loewy profiles of a batch of algebras, in order.  The algebras
-    without a cached profile get their degree arrays from one kernel call
-    and go through one certificate pass and one DP together.  Their
-    profiles and least degrees m are cached."""
+    """The Loewy profiles of a batch of algebras, in order.
+
+    The algebras without a cached profile run together: one kernel call
+    gives their degrees and orbit minima, rows end to end, and each of
+    them keeps its views of those flat arrays.  Every layer starts at the
+    per-index bound deg[k] // m; `_certified` marks the cells where the
+    bound is attained, and `_level_dp` fills in the others when there are
+    any.  The profiles and least degrees m are cached."""
     todo = [alg for alg in algs if alg._profile is None]
     if todo:
-        _fill_degrees(todo)
-        for alg, profile in zip(todo, _certified_profiles(todo)):
-            alg._profile = profile
+        # arrays of an earlier read go first, so that no two copies are alive
+        for alg in todo:
+            vars(alg).pop("degrees", None)
+            vars(alg).pop("orbit_min", None)
+        deg, omin = degrees_and_orbit_min([alg._kernel_row() for alg in todo])
+        sizes = [alg.z + 1 for alg in todo]
+        offsets = [0, *accumulate(sizes)]
+        for alg, lo, hi in zip(todo, offsets, offsets[1:]):
+            alg.degrees, alg.orbit_min = deg[lo:hi], omin[lo:hi]
+        ms, steps = _least_degrees(deg, offsets)
+        # each index's orbit minimum as a cell of the batch
+        orbit = omin if len(todo) == 1 else omin + per_cell(offsets[:-1], sizes)
+        cert = _certified(deg, orbit, offsets, ms, steps)
+        lam = deg // per_cell(ms, sizes)
+        if not cert.all():
+            _level_dp(deg, lam, orbit, cert, offsets)
+        del cert, orbit
+        for alg, m, profile in zip(todo, ms, _profiles(lam, offsets, todo)):
+            alg._m, alg._profile = m, profile
     return [alg._profile for alg in algs]
-
-
-def _certified_profiles(algs) -> list[LoewyProfile]:
-    """The profiles of a nonempty batch of algebras with degree arrays.
-
-    Their rows lie end to end in one flat array per quantity (a batch of
-    one reads its own arrays).  Every layer starts at the per-index bound
-    deg[k] // m; `_certified` marks the cells where the bound is attained,
-    and `_level_dp` fills in the others when there are any."""
-    sizes = [alg.z + 1 for alg in algs]
-    offsets = [0, *accumulate(sizes)]
-    if len(algs) == 1:
-        deg, omin = algs[0].degrees, algs[0].orbit_min
-    else:
-        deg = np.concatenate([alg.degrees for alg in algs])
-        omin = np.concatenate([alg.orbit_min for alg in algs])
-    ms, steps = _least_degrees(deg, offsets)
-    for alg, m in zip(algs, ms):
-        alg._m = m
-    cert = _certified(deg, omin, offsets, ms, steps)
-    lam = deg // per_cell(ms, sizes)
-    if not cert.all():
-        _level_dp(deg, lam, omin, cert, offsets)
-    del cert, omin
-    return _profiles(lam, offsets, algs)
 
 
 def _least_degrees(deg, offsets) -> tuple[list[int], list[int]]:
@@ -510,8 +479,10 @@ def _chain_roots(deg, offsets, ms, steps) -> np.ndarray:
     return jump
 
 
-def _certified(deg, omin, offsets, ms, steps) -> np.ndarray:
-    """True at the cells whose layer is the per-index bound deg[k] // m.
+def _certified(deg, orbit, offsets, ms, steps) -> np.ndarray:
+    """True at the cells whose layer is the per-index bound deg[k] // m,
+    for rows laid end to end in deg; orbit holds each cell's orbit minimum
+    as a cell of the batch.
 
     Every radical factor has degree at least m, so L <= lam <= deg // m,
     and lam is exact wherever L = deg // m.  Each link adds m to the
@@ -527,17 +498,16 @@ def _certified(deg, omin, offsets, ms, steps) -> np.ndarray:
     roots -= m
     cert = roots < m
     del roots
-    orbit = omin if len(sizes) == 1 else omin + per_cell(offsets[:-1], sizes)
     seen = np.zeros(len(deg), dtype=bool)
     seen[orbit[cert]] = True
     return seen[orbit]
 
 
-def _level_dp(deg, lam, omin, cert, offsets) -> None:
-    """Fill in the open layers of rows laid end to end.  deg, lam and omin
-    (each index's orbit minimum within its row) hold one cell per index,
-    cert marks the certified cells, and lam holds the per-index bound
-    deg // m in every cell.
+def _level_dp(deg, lam, orbit, cert, offsets) -> None:
+    """Fill in the open layers of rows laid end to end.  deg, lam and orbit
+    (each index's orbit minimum as a cell of the batch) hold one cell per
+    index, cert marks the certified cells, and lam holds the per-index
+    bound deg // m in every cell.
 
     The layers are the radical powers, J^{t+1} = J * J^t, so lam[k] is
     1 + max lam[k - i] over the irreducible i < k with b_k = b_i * b_{k-i},
@@ -549,8 +519,6 @@ def _level_dp(deg, lam, omin, cert, offsets) -> None:
     so far, copies each layer over its orbit and adds its new irreducibles
     to the candidates.  A row's index 0, the identity, stays in layer 0."""
     starts = np.array(offsets[:-1])
-    sizes = np.diff(offsets).tolist()
-    orbit = omin if len(sizes) == 1 else omin + per_cell(offsets[:-1], sizes)
     # one sort puts the open cells in level order, and the certified cells
     # and each row's index 0 after them
     last = np.iinfo(np.int64).max
@@ -611,19 +579,13 @@ def _profiles(lam: np.ndarray, offsets, algs) -> list[LoewyProfile]:
     counts."""
     rows = len(algs)
     sizes = np.diff(offsets).tolist()
-    starts = offsets[:-1]
-    peaks = np.maximum.reduceat(lam, starts).tolist()
+    peaks = np.maximum.reduceat(lam, offsets[:-1]).tolist()
     layers = max(peaks) + 1
     cells = lam if rows == 1 else lam + per_cell([r * layers for r in range(rows)], sizes)
     counts = np.bincount(cells, minlength=rows * layers).reshape(rows, layers)
     del cells
     tops = lam[[hi - 1 for hi in offsets[1:]]].tolist()
-    ones = counts[:, 1].tolist()
-    # the cells of layer 1 in order: each row's irreducibles, ascending,
-    # one row after the other
-    hits = np.flatnonzero(lam == 1)
-    irreducibles = (hits if rows == 1 else hits - np.repeat(starts, ones)).tolist()
-    out, start = [], 0
+    out = []
     for r, alg in enumerate(algs):
         top = tops[r]
         if top != peaks[r]:
@@ -631,10 +593,7 @@ def _profiles(lam: np.ndarray, offsets, algs) -> list[LoewyProfile]:
         vector = (1, *counts[r, 1:top + 1].tolist())
         if sum(vector) != alg.z + 1:
             raise AssertionError(f"Loewy vector does not sum to the dimension ({alg})")
-        stop = start + ones[r]
-        out.append(LoewyProfile(lam[offsets[r]:offsets[r + 1]], vector, top + 1,
-                                tuple(irreducibles[start:stop])))
-        start = stop
+        out.append(LoewyProfile(lam[offsets[r]:offsets[r + 1]], vector, top + 1))
     return out
 
 

@@ -15,13 +15,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain
 
-from .algebra import (
-    BATCH_CELLS,
-    Algebra,
-    loewy_profiles,
-    padded_batches,
-    same_table,
-)
+from .algebra import Algebra, loewy_profiles, same_table
 # mult_order is no longer called here, but perfbench/test_perfbench.py
 # reads it as loewy.database.mult_order
 from .arith import cyclic_subgroups, format_decimal, mult_order  # noqa: F401
@@ -30,6 +24,11 @@ from .invariants import invariant_report, report_difference
 from .mfunc import INDEX_CAPACITY
 
 SCHEMA_VERSION = 1
+
+# Scans cut their keys into batches of at most this many cells, the sum of
+# z + 1 over a batch's keys; a wider key runs alone.  At the per-index
+# budget of mfunc._BYTES_PER_INDEX, a batch's arrays stay below 0.5 MB.
+BATCH_CELLS = 1 << 13
 
 _FIELDS = ("schema", "z", "q", "n", "subgroup", "e", "m", "ll", "bound",
            "gap", "loewy_vector", "flags", "runtime_ms")
@@ -224,17 +223,26 @@ def compute_batch(keys) -> list:
 
 
 def _batches(keys):
-    """Cut consecutive keys into batches of at most BATCH_CELLS padded
-    cells, keys times (largest z + 1); a wider key runs alone.  A batch
-    shares one degree kernel call, one certificate pass and one Loewy
-    DP."""
-    return padded_batches(keys, [key.z + 1 for key in keys], BATCH_CELLS)
+    """Cut consecutive keys into batches whose z + 1 sum to at most
+    BATCH_CELLS cells; a wider key runs alone.  A batch shares one degree
+    kernel call, one certificate pass and one Loewy DP, over its keys'
+    rows laid end to end."""
+    batch, cells = [], 0
+    for key in keys:
+        if batch and cells + key.z + 1 > BATCH_CELLS:
+            yield batch
+            batch, cells = [], 0
+        batch.append(key)
+        cells += key.z + 1
+    if batch:
+        yield batch
 
 
 def compute_records(keys, *, jobs: int = 1):
     """Yield the records of the given keys in order.  Consecutive keys are
-    cut into batches under BATCH_CELLS, and each batch runs one
-    `compute_batch`, so the batch boundaries never show in the output.
+    cut into batches of at most BATCH_CELLS cells, one per index of their
+    rows, and each batch runs one `compute_batch`, so the batch boundaries
+    never show in the output.
     With jobs > 1 a worker pool computes the batches out of order and the
     pool's mapper restores the order."""
     if jobs <= 1:

@@ -13,8 +13,10 @@ by pointer doubling on that permutation, in log2(ord_z(q)) passes over
 z-length arrays, never forming the z*ord_z(q) cells.  It takes a batch of
 (q, n, z) and runs them as one: their index ranges lie end to end in one
 set of arrays (sums, minima, jumps, the permutation, a gather buffer and
-the row offsets), and each row follows the digits of its own order through
-a per-cell mask, so a scan batch costs one call instead of one per key.
+the row offsets), each row follows the digits of its own order through a
+per-cell mask, and the degrees and orbit minima come back as two flat
+arrays in that layout, so a scan batch costs one call instead of one per
+key.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ INDEX_CAPACITY_BYTES = 1 << 31
 # The degree kernel holds five for a batch of one: window sums (which
 # become the degrees), window minima (the orbit minima), jumps pi^L(k), pi
 # itself and one gather buffer.  A batch of several rows adds per-cell
-# arrays over its concatenated indices: the row offsets for the whole run,
+# arrays over its indices end to end: the row offsets for the whole run,
 # and while it starts the indices and their values within the row, seven
 # in all; its per-pass masks are bool.
 # The chain certificate holds four besides bool masks: degrees, orbit
@@ -70,7 +72,12 @@ INDEX_CAPACITY_BYTES = 1 << 31
 # the first level.  Then come the positions of the irreducibles found so
 # far, the cells of one level, and one chunk of (orbit minimum,
 # irreducible) pairs: at most a quarter as many pairs as cells, each
-# holding about five int64 temporaries, so about 10 bytes per index.
+# holding about five int64 temporaries, so about 10 bytes per index.  A
+# batch of several rows also holds its orbit minima as cells of the batch,
+# one more array, through the certificate and the DP.  A finished profile
+# keeps its layers and Loewy vector; it reads its irreducibles off the
+# layers on first use, so an algebra irreducible at most indices, such as
+# A(7, 9090, 200002), stays within the budget: 40 bytes per index measured.
 _BYTES_PER_INDEX = 56
 # The largest z under the budget.  It keeps z^2 < 2^63, so the products
 # k*q and the sums of nu < z residues below z stay in int64.
@@ -208,11 +215,13 @@ def per_cell(values, sizes):
     return np.repeat(np.array(values, dtype=np.int64), sizes)
 
 
-def degrees_and_orbit_min(params) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(degrees, orbit_min) as int64 arrays over 0 <= k <= z, for each
-    (q, n, z) of a nonempty batch of parameters that passed
-    `require_index_capacity`.  A row may carry nu = ord_z(q) as a fourth
-    entry, (q, n, z, nu); the kernel computes it for the rows without.
+def degrees_and_orbit_min(params) -> tuple[np.ndarray, np.ndarray]:
+    """(degrees, orbit_min) as flat int64 arrays for a nonempty batch of
+    (q, n, z) that passed `require_index_capacity`: the rows lie end to
+    end, row r over 0 <= k <= z from offset o_r = the sum of z + 1 over the
+    rows before it, and orbit_min holds indices within the row.  A row may
+    carry nu = ord_z(q) as a fourth entry, (q, n, z, nu); the kernel
+    computes it for the rows without.
 
     degrees[k] is the digit sum of k*e, e = (q^n - 1)/z, and orbit_min[k]
     the smallest index of the orbit of k under pi(k) = kq mod z, with z a
@@ -226,13 +235,12 @@ def degrees_and_orbit_min(params) -> list[tuple[np.ndarray, np.ndarray]]:
     one step by adding the index jump[k] itself.  That is log2(nu) passes
     over z-length arrays.
 
-    The rows of a batch run as one: their index ranges lie end to end, row
-    r from offset o_r, and one array pi maps o_r + k to o_r + kq mod z.
-    Each row follows the digits of its own nu.  Above its leading digit a
-    row holds the empty window (sum 0, minimum MAX, jump the identity),
-    which doubling leaves empty, and the one-step growth is masked to the
-    rows whose digit is 1.  A pass where every row has the same digit, as
-    in a batch of one, runs unmasked."""
+    The rows of a batch run as one: one array pi maps o_r + k to
+    o_r + kq mod z, and each row follows the digits of its own nu.  Above
+    its leading digit a row holds the empty window (sum 0, minimum MAX,
+    jump the identity), which doubling leaves empty, and the one-step
+    growth is masked to the rows whose digit is 1.  A pass where every row
+    has the same digit, as in a batch of one, runs unmasked."""
     nus = [row[3] if len(row) > 3 else mult_order(row[0], row[2])
            for row in params]
     params = [row[:3] for row in params]
@@ -297,8 +305,7 @@ def degrees_and_orbit_min(params) -> list[tuple[np.ndarray, np.ndarray]]:
         raise AssertionError("digit-sum formula did not divide evenly")
     sums //= divisor
     sums *= per_cell(scale, sizes)
-    return [(sums[lo:hi], mins[lo:hi])
-            for lo, hi in zip(offsets, offsets[1:])]
+    return sums, mins
 
 
 def m_via_z(q: int, n: int, z: int) -> MResult:
@@ -310,7 +317,7 @@ def m_via_z(q: int, n: int, z: int) -> MResult:
     request."""
     resolve_z(q, n, z=z)
     require_index_capacity(q, n, z)
-    (degrees, _), = degrees_and_orbit_min([(q, n, z)])
+    degrees, _ = degrees_and_orbit_min([(q, n, z)])
     k = int(degrees[1:].argmin()) + 1
     return MResult(m=int(degrees[k]), method="residue_formula", k_min=k)
 

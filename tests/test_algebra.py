@@ -355,14 +355,22 @@ def key_params(zs):
             yield key.q_rep, mult_order(key.q_rep % z, z), z
 
 
+def kernel_rows(params):
+    """`degrees_and_orbit_min` of the batch, split at the row offsets into
+    one (degrees, orbit_min) pair per row."""
+    deg, omin = degrees_and_orbit_min(params)
+    offsets = np.cumsum([0] + [row[2] + 1 for row in params])
+    assert len(deg) == len(omin) == offsets[-1]
+    return [(deg[lo:hi], omin[lo:hi]) for lo, hi in zip(offsets, offsets[1:])]
+
+
 class TestDegreeKernel:
     """The pointer-doubling kernel equals the z*nu residue-sum formula, run
     as a batch of one and in batches of rows with mixed nu."""
 
     @staticmethod
     def check_batch(params, oracle=None):
-        got = degrees_and_orbit_min(params)
-        assert len(got) == len(params)
+        got = kernel_rows(params)
         for (q, n, z), arrays in zip(params, got):
             want = oracle[q, n, z] if oracle else residue_sum_degrees(q, n, z)
             assert all(a.dtype == np.int64 for a in arrays)
@@ -425,20 +433,19 @@ class TestDegreeKernel:
         for z in (1, 2, 3, 10, 97, 1000):
             for q, n in [(z + 1, 1), (z + 1, 3), (2 * z + 1, 2)]:
                 self.check(q, n, z)
-                (_, orbit_min), = degrees_and_orbit_min([(q, n, z)])
+                _, orbit_min = degrees_and_orbit_min([(q, n, z)])
                 assert orbit_min.tolist() == list(range(z + 1))
 
     def test_given_nu(self, monkeypatch):
         # a row may carry nu = ord_z(q); the kernel computes it for the
         # rows without, and the arrays are the same
         params = list(key_params(range(1, 301)))
-        want = degrees_and_orbit_min(params)
+        want = kernel_rows(params)
         given = [(q, n, z, n) for q, n, z in params]
         mixed = [row if i % 2 else row[:3] for i, row in enumerate(given)]
-        got = [degrees_and_orbit_min(mixed)]
+        got = [kernel_rows(mixed)]
         monkeypatch.setattr(mfunc, "mult_order", unreachable)
-        got += [degrees_and_orbit_min(given),
-                [degrees_and_orbit_min([row])[0] for row in given]]
+        got += [kernel_rows(given), [kernel_rows([row])[0] for row in given]]
         for arrays in got:
             for (deg, omin), (want_deg, want_omin), row in zip(arrays, want, given):
                 assert np.array_equal(deg, want_deg), row
@@ -533,6 +540,23 @@ class TestLockstepBatch:
                          [(a.q, a.n, a.z) for a in algs[1:]],
                          [(algs[3].q, algs[3].n, algs[3].z)]]
 
+    def test_earlier_reads_are_recomputed(self):
+        # algebras whose arrays were read before get them again from the
+        # batch's kernel call, and the batch equals a fresh one
+        algs = key_algebras([12, 13, 97])
+        for alg in algs[::2]:
+            assert len(alg.degrees) == alg.z + 1
+        profiles = loewy_profiles(algs)
+        fresh = key_algebras([12, 13, 97])
+        assert_same_profiles(profiles, loewy_profiles(fresh))
+        for alg, want in zip(algs, fresh):
+            assert np.array_equal(alg.degrees, want.degrees), alg
+            assert np.array_equal(alg.orbit_min, want.orbit_min), alg
+            assert alg.m() == want.m()
+        # one kernel call filled every algebra of the batch
+        base = algs[0].degrees.base
+        assert base is not None and all(alg.degrees.base is base for alg in algs)
+
     def test_cached_profiles_are_reused(self):
         algs = key_algebras([12, 13])
         first = algs[2].loewy_profile()
@@ -551,8 +575,7 @@ def dp_profiles(algs, monkeypatch):
     fresh = [Algebra(alg.q, alg.n, alg.z) for alg in algs]
     with monkeypatch.context() as patch:
         patch.setattr(algebra, "_certified", certify_nothing)
-        return [profile for batch in algebra.padded_batches(
-                    fresh, [alg.z + 1 for alg in fresh], algebra.BATCH_CELLS)
+        return [profile for batch in _batches(fresh)
                 for profile in loewy_profiles(batch)]
 
 
@@ -598,12 +621,13 @@ class TestCertificate:
 
     def test_rows_end_to_end(self, small):
         # a batch's rows lie end to end; no chain crosses a row start
-        for batch in algebra.padded_batches(small, [a.z + 1 for a in small], 1 << 12):
+        for batch in _batches(small):
             deg = np.concatenate([alg.degrees for alg in batch])
-            omin = np.concatenate([alg.orbit_min for alg in batch])
             offsets = [0]
             for alg in batch:
                 offsets.append(offsets[-1] + alg.z + 1)
+            # each index's orbit minimum as a cell of the batch
+            omin = np.concatenate([alg.orbit_min + lo for alg, lo in zip(batch, offsets)])
             ms, steps = algebra._least_degrees(deg, offsets)
             roots = algebra._chain_roots(deg, offsets, ms, steps)
             cert = algebra._certified(deg, omin, offsets, ms, steps)
@@ -689,6 +713,9 @@ class TestCertificate:
     @pytest.mark.parametrize("q,n,z", [
         (200001, 1, 200000),
         (2, 20, 1048575),
+        # irreducibles at most indices: the profile stores none of them
+        (7, 9090, 200002),
+        (199999, 2, 200000),
         pytest.param(5, 10, 295928, marks=pytest.mark.slow),
     ])
     def test_peak_memory_per_index(self, q, n, z):
