@@ -67,6 +67,10 @@ from .mfunc import (
 
 # validity_table refuses a (z - 1)^2 bool table above this many bytes.
 VALIDITY_CAPACITY_BYTES = 1 << 30
+# The invariant report refuses an algebra whose report would have more than
+# this many lines, about 2 LL^2, most of them a set product: on 2 vCPUs the
+# report of LL = 121 took 10 s, and of LL = 241 159 s.
+INVARIANT_LINES_CAPACITY = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -383,16 +387,24 @@ class Algebra:
         return "\n".join(lines) + "\n"
 
     def flags(self) -> dict[str, bool]:
-        vector = self.loewy_vector()
-        report = self.bound_report()
-        tail = vector[2:].count(1)
-        return {
-            "uniserial": vector[:2].count(1) + tail == len(vector),
-            "bound_attained": report.gap == 0,
-            "ll_three": report.ll == 3,
-            "spike_vector": (len(vector) > 3 and vector[0] == 1
-                             and tail == len(vector) - 2),
-        }
+        return loewy_flags(self.loewy_vector(), self.bound_report().gap)
+
+
+# The flags of an algebra, in the order its records store them.
+FLAG_NAMES = ("uniserial", "bound_attained", "ll_three", "spike_vector")
+
+
+def loewy_flags(vector, gap: int) -> dict[str, bool]:
+    """The flags of a Loewy vector whose length falls `gap` short of the
+    bound."""
+    tail = vector[2:].count(1)
+    return {
+        "uniserial": vector[:2].count(1) + tail == len(vector),
+        "bound_attained": gap == 0,
+        "ll_three": len(vector) == 3,
+        "spike_vector": (len(vector) > 3 and vector[0] == 1
+                         and tail == len(vector) - 2),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -575,14 +587,14 @@ def _best_splits(deg, lam, irr, mins, starts, budget: int) -> np.ndarray:
 
 def _profiles(lam: np.ndarray, offsets, algs) -> list[LoewyProfile]:
     """The profiles of the rows laid end to end in lam, from one bincount
-    of (row, layer) pairs.  Index 0 holds layer 0, which no Loewy vector
-    counts."""
+    of (row, layer) pairs read into one list.  Index 0 holds layer 0,
+    which no Loewy vector counts."""
     rows = len(algs)
     sizes = np.diff(offsets).tolist()
     peaks = np.maximum.reduceat(lam, offsets[:-1]).tolist()
     layers = max(peaks) + 1
     cells = lam if rows == 1 else lam + per_cell([r * layers for r in range(rows)], sizes)
-    counts = np.bincount(cells, minlength=rows * layers).reshape(rows, layers)
+    counts = np.bincount(cells, minlength=rows * layers).reshape(rows, layers).tolist()
     del cells
     tops = lam[[hi - 1 for hi in offsets[1:]]].tolist()
     out = []
@@ -590,7 +602,7 @@ def _profiles(lam: np.ndarray, offsets, algs) -> list[LoewyProfile]:
         top = tops[r]
         if top != peaks[r]:
             raise AssertionError(f"socle index must attain the maximal layer ({alg})")
-        vector = (1, *counts[r, 1:top + 1].tolist())
+        vector = (1, *counts[r][1:top + 1])
         if sum(vector) != alg.z + 1:
             raise AssertionError(f"Loewy vector does not sum to the dimension ({alg})")
         out.append(LoewyProfile(lam[offsets[r]:offsets[r + 1]], vector, top + 1))

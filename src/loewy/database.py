@@ -4,7 +4,11 @@ aggregate statistics.
 
 Records are emitted in a deterministic order (z ascending, then subgroup
 order, then representative), scans are resumable by extending a prefix, and
-rescans of the same range are byte-identical.
+rescans of the same range are byte-identical.  A record is built once from
+the profile and least degree its batch's `loewy_profiles` call left on the
+algebra, and writes its JSON line and CSV row each with one f-string, the
+JSON byte for byte what json.dumps gives; the loader refuses a field of any
+type or form that the f-string would write otherwise.
 """
 
 from __future__ import annotations
@@ -12,10 +16,11 @@ from __future__ import annotations
 import json
 import os
 from contextlib import suppress
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, field
+from itertools import chain, product
+from operator import itemgetter
 
-from .algebra import Algebra, loewy_profiles, same_table
+from .algebra import FLAG_NAMES, Algebra, loewy_flags, loewy_profiles, same_table
 # mult_order is no longer called here, but perfbench/test_perfbench.py
 # reads it as loewy.database.mult_order
 from .arith import cyclic_subgroups, format_decimal, mult_order  # noqa: F401
@@ -29,9 +34,6 @@ SCHEMA_VERSION = 1
 # z + 1 over a batch's keys; a wider key runs alone.  At the per-index
 # budget of mfunc._BYTES_PER_INDEX, a batch's arrays stay below 0.5 MB.
 BATCH_CELLS = 1 << 13
-
-_FIELDS = ("schema", "z", "q", "n", "subgroup", "e", "m", "ll", "bound",
-           "gap", "loewy_vector", "flags", "runtime_ms")
 
 # Reference values for the full z <= 10000 run: a long-running target, kept
 # for documentation and for the long-running mode, never asserted in CI.
@@ -62,6 +64,26 @@ class EquivKey:
         return len(self.subgroup)
 
 
+# The JSON object and the CSV cells of each combination of the flags.
+_FLAG_TEXT = {
+    values: ("{" + ",".join(f'"{name}":{str(on).lower()}'
+                            for name, on in zip(FLAG_NAMES, values)) + "}",
+             ",".join(str(int(on)) for on in values))
+    for values in product((False, True), repeat=len(FLAG_NAMES))
+}
+_flag_values = itemgetter(*FLAG_NAMES)
+
+
+# The fields of a record line, in order, with the types that
+# `DbRecord.to_json_line` writes exactly as json.dumps does, then the
+# error row's message; an error row has the fields of _ERROR_FIELDS.
+_TYPES = {"schema": int, "z": int, "q": int, "n": int, "subgroup": list,
+          "e": str, "m": int, "ll": int, "bound": int, "gap": int,
+          "loewy_vector": list, "flags": dict, "runtime_ms": int, "error": str}
+_FIELDS = tuple(_TYPES)[:-1]
+_ERROR_FIELDS = ("schema", "z", "q", "subgroup", "error")
+
+
 @dataclass(frozen=True)
 class DbRecord:
     key: EquivKey
@@ -74,54 +96,60 @@ class DbRecord:
     loewy_vector: tuple[int, ...]
     flags: dict
     runtime_ms: int = 0
+    # the Loewy vector's decimal text, "1,10,19,10,1", kept by a computed
+    # record for its JSON line and CSV row
+    vector_text: str = field(default="", compare=False, repr=False)
+
+    def _vector_text(self) -> str:
+        return self.vector_text or ",".join(map(str, self.loewy_vector))
 
     def to_json_line(self) -> str:
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "z": self.key.z,
-            "q": self.key.q_rep,
-            "n": self.n,
-            "subgroup": list(self.key.subgroup),
-            "e": self.e_decimal,
-            "m": self.m,
-            "ll": self.ll,
-            "bound": self.bound,
-            "gap": self.gap,
-            "loewy_vector": list(self.loewy_vector),
-            "flags": self.flags,
-            "runtime_ms": self.runtime_ms,
-        }
-        return json.dumps(payload, separators=(",", ":"))
+        key = self.key
+        return (f'{{"schema":{SCHEMA_VERSION},"z":{key.z},"q":{key.q_rep},'
+                f'"n":{self.n},"subgroup":[{",".join(map(str, key.subgroup))}],'
+                f'"e":"{self.e_decimal}","m":{self.m},"ll":{self.ll},'
+                f'"bound":{self.bound},"gap":{self.gap},'
+                f'"loewy_vector":[{self._vector_text()}],'
+                f'"flags":{_FLAG_TEXT[_flag_values(self.flags)][0]},'
+                f'"runtime_ms":{self.runtime_ms}}}')
 
     @staticmethod
     def from_json_line(line: str | bytes):
+        """The record of a line.  A field whose type or form differs from
+        what `to_json_line` writes is refused, so a record read writes back
+        the line it came from."""
         try:
-            data = json.loads(line)
-            key = EquivKey(z=data["z"], subgroup=tuple(data["subgroup"]),
-                           q_rep=data["q"])
-        except (ValueError, KeyError, TypeError) as exc:
+            data = json.loads(line.decode() if type(line) is bytes else line)
+        except ValueError as exc:
             raise DomainError(f"malformed record: {exc!r}") from None
+        fields = tuple(data) if type(data) is dict else type(data).__name__
+        if fields not in (_FIELDS, _ERROR_FIELDS):
+            raise DomainError(f"unexpected record fields: {fields}")
+        for name, value in data.items():
+            if type(value) is not _TYPES[name]:
+                raise DomainError(f"{name} is not of type {_TYPES[name].__name__}")
+        if {*map(type, data["subgroup"]), *map(type, data.get("loewy_vector", ()))} - {int}:
+            raise DomainError("subgroup and loewy_vector must hold ints only")
+        if data["schema"] != SCHEMA_VERSION:
+            raise DomainError(f"unknown schema {data['schema']}")
+        key = EquivKey(data["z"], tuple(data["subgroup"]), data["q"])
         if "error" in data:
             return ErrorRecord(key=key, error=data["error"])
-        if tuple(data.keys()) != _FIELDS:
-            raise DomainError(f"unexpected record fields: {tuple(data.keys())}")
-        return DbRecord(
-            key=key, n=data["n"], e_decimal=data["e"], m=data["m"],
-            ll=data["ll"], bound=data["bound"], gap=data["gap"],
-            loewy_vector=tuple(data["loewy_vector"]), flags=data["flags"],
-            runtime_ms=data["runtime_ms"],
-        )
+        if not (data["e"].isascii() and data["e"].isdigit()):
+            raise DomainError("e is not a string of decimal digits")
+        flags = data["flags"]
+        if tuple(flags) != FLAG_NAMES or {*map(type, flags.values())} != {bool}:
+            raise DomainError(f"flags are not the booleans {', '.join(FLAG_NAMES)}")
+        return DbRecord(key, data["n"], data["e"], data["m"], data["ll"],
+                        data["bound"], data["gap"], tuple(data["loewy_vector"]),
+                        data["flags"], data["runtime_ms"])
 
     def to_csv_row(self) -> str:
-        vec = self.loewy_vector[:32]
-        return ",".join([
-            str(self.key.z), str(self.key.q_rep), str(self.n),
-            self.e_decimal, str(self.m), str(self.ll), str(self.bound),
-            str(self.gap),
-            *(str(int(self.flags[name])) for name in
-              ("uniserial", "bound_attained", "ll_three", "spike_vector")),
-            ";".join(str(c) for c in vec),
-        ])
+        # at most 32 entries of the vector, separated by semicolons
+        vector = self._vector_text().replace(",", ";", 31).partition(",")[0]
+        return (f"{self.key.z},{self.key.q_rep},{self.n},{self.e_decimal},"
+                f"{self.m},{self.ll},{self.bound},{self.gap},"
+                f"{_FLAG_TEXT[_flag_values(self.flags)][1]},{vector}")
 
 
 @dataclass(frozen=True)
@@ -133,13 +161,8 @@ class ErrorRecord:
     error: str
 
     def to_json_line(self) -> str:
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "z": self.key.z,
-            "q": self.key.q_rep,
-            "subgroup": list(self.key.subgroup),
-            "error": self.error,
-        }
+        payload = {"schema": SCHEMA_VERSION, "z": self.key.z, "q": self.key.q_rep,
+                   "subgroup": list(self.key.subgroup), "error": self.error}
         return json.dumps(payload, separators=(",", ":"))
 
 
@@ -176,19 +199,14 @@ def key_algebra(key: EquivKey) -> Algebra:
 
 
 def _record(key: EquivKey, alg: Algebra) -> DbRecord:
-    report = alg.bound_report()
-    return DbRecord(
-        key=key,
-        n=alg.n,
-        e_decimal=format_decimal(alg.e()),
-        m=report.m,
-        ll=report.ll,
-        bound=report.bound,
-        gap=report.gap,
-        loewy_vector=alg.loewy_vector(),
-        flags=alg.flags(),
-        runtime_ms=0,  # kept deterministic so rescans are byte-identical
-    )
+    """The record of a key from its algebra's bound report and profile,
+    which `loewy_profiles` filled; runtime_ms stays 0, so that rescans are
+    byte-identical."""
+    report, vector = alg.bound_report(), alg.loewy_vector()
+    return DbRecord(key, alg.n, format_decimal(alg.e()), report.m, report.ll,
+                    report.bound, report.gap, vector,
+                    loewy_flags(vector, report.gap), 0,
+                    ",".join(map(str, vector)))
 
 
 def compute_record(key: EquivKey) -> DbRecord:
@@ -200,10 +218,7 @@ def scan_keys(z_min: int, z_max: int) -> list[EquivKey]:
     if z_min < 1 or z_max < z_min:
         raise DomainError(f"invalid range [{z_min}, {z_max}]")
     _require_key_capacity(z_max)
-    keys = []
-    for z in range(z_min, z_max + 1):
-        keys.extend(subgroup_representatives(z))
-    return keys
+    return [key for z in range(z_min, z_max + 1) for key in subgroup_representatives(z)]
 
 
 def compute_batch(keys) -> list:

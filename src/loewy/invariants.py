@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra
+from .algebra import INVARIANT_LINES_CAPACITY, Algebra
 from .arith import is_prime
 from .errors import CapacityError, DomainError
 
@@ -149,8 +149,12 @@ def set_product(alg: Algebra, left, right) -> frozenset[int]:
 def ideal_dims_profile(alg: Algebra, *, primes=(2, 3)) -> dict[str, int]:
     """Stable labelled dimensions: radical powers, socle members, their sums
     and products, Frobenius kernels/images and the ideals they generate."""
-    profile = alg.loewy_profile()
-    ll = profile.ll
+    ll = alg.loewy_length()
+    if 2 * ll * ll > INVARIANT_LINES_CAPACITY:
+        raise CapacityError(
+            f"the invariant report of LL = {ll} has about {2 * ll * ll} lines, "
+            f"over the capacity of {INVARIANT_LINES_CAPACITY}"
+        )
     dims: dict[str, int] = {}
     # the socle series first: its validity table is the part that can be
     # refused for capacity, before the radical powers fill memory

@@ -8,15 +8,13 @@ The general algorithms serve as oracles for one another and for every
 closed form; the tests add a third, a digit-sum scan over the multiples of
 e in full-width integers.  The residue-sum kernel, `degrees_and_orbit_min`,
 also gives `Algebra` the degrees of its basis monomials and the orbit
-minima of k -> kq mod z: it sums and minimizes k*q^i mod z over i < ord_z(q)
-by pointer doubling on that permutation, in log2(ord_z(q)) passes over
-z-length arrays, never forming the z*ord_z(q) cells.  It takes a batch of
-(q, n, z) and runs them as one: their index ranges lie end to end in one
-set of arrays (sums, minima, jumps, the permutation, a gather buffer and
-the row offsets), each row follows the digits of its own order through a
-per-cell mask, and the degrees and orbit minima come back as two flat
-arrays in that layout, so a scan batch costs one call instead of one per
-key.
+minima of k -> kq mod z: it finds the minima by pointer doubling on that
+permutation, in ceil(log2(ord_z(q))) passes over z-length arrays, and each
+orbit's sum of residues by scatter-adds keyed by its minimum, never forming
+the z*ord_z(q) cells.  A batch of (q, n, z) runs as one, every row through
+the same passes, with the index ranges end to end in one set of arrays;
+the degrees and orbit minima come back as two flat arrays in that layout,
+so a scan batch costs one call instead of one per key.
 """
 
 from __future__ import annotations
@@ -55,12 +53,11 @@ _DEGREE_CAPACITY = 1 << 62
 # _BYTES_PER_INDEX each, exceed this budget.
 INDEX_CAPACITY_BYTES = 1 << 31
 # The most int64 arrays of length z + 1 alive at once, counted in bytes.
-# The degree kernel holds five for a batch of one: window sums (which
-# become the degrees), window minima (the orbit minima), jumps pi^L(k), pi
-# itself and one gather buffer.  A batch of several rows adds per-cell
-# arrays over its indices end to end: the row offsets for the whole run,
-# and while it starts the indices and their values within the row, seven
-# in all; its per-pass masks are bool.
+# The degree kernel holds four for a batch of one: the indices within the
+# row, window minima (the orbit minima), jumps pi^L(k) and a gather buffer;
+# the last two then take the orbit sums and lengths, and one becomes the
+# degrees.  A batch of several rows adds its row offsets over the cells and
+# one per-row value over the cells at a time, six in all.
 # The chain certificate holds four besides bool masks: degrees, orbit
 # minima, the chain pointers and their out= buffer.  The layers come after
 # it, and the Loewy vector's counts, list and tuple take three more when
@@ -195,17 +192,6 @@ def require_index_capacity(q: int, n: int, z: int) -> None:
         )
 
 
-def _cells_with_digit(nus, sizes, bit):
-    """True when every nu has the given binary digit set, False when none
-    has, and otherwise a mask over the cells of the rows whose nu has."""
-    have = [nu >> bit & 1 for nu in nus]
-    if all(have):
-        return True
-    if not any(have):
-        return False
-    return np.repeat(np.array(have, dtype=bool), sizes)
-
-
 def per_cell(values, sizes):
     """One value per row of rows laid end to end: the value itself for a
     single row, else an int64 array that repeats each row's value over its
@@ -229,71 +215,52 @@ def degrees_and_orbit_min(params) -> tuple[np.ndarray, np.ndarray]:
     orbit, S_k = sum_{i < nu} pi^i(k) gives degrees[k] =
     (q-1)(n/nu) S_k / z, so e itself is never formed.
 
-    Sums and minima over windows of L steps of pi grow by pointer doubling,
-    along the binary digits of nu from the top: a window doubles by adding
-    (taking the minimum with) itself read at jump[k] = pi^L(k), and grows by
-    one step by adding the index jump[k] itself.  That is log2(nu) passes
-    over z-length arrays.
-
-    The rows of a batch run as one: one array pi maps o_r + k to
-    o_r + kq mod z, and each row follows the digits of its own nu.  Above
-    its leading digit a row holds the empty window (sum 0, minimum MAX,
-    jump the identity), which doubling leaves empty, and the one-step
-    growth is masked to the rows whose digit is 1.  A pass where every row
-    has the same digit, as in a batch of one, runs unmasked."""
+    One array pi maps o_r + k to o_r + kq mod z for every row at once.
+    Minima over windows of L steps of pi double by pointer doubling: a
+    window takes the minimum with itself read at jump[k] = pi^L(k), and
+    jump doubles by reading itself.  After ceil(log2(max nu)) passes every
+    window covers its orbit, whatever the row's nu, since a minimum taken
+    twice is the same.  Each orbit's sum and length then come by exact
+    int64 scatter-adds keyed by its minimum, and S_k is nu / length times
+    the orbit sum."""
     nus = [row[3] if len(row) > 3 else mult_order(row[0], row[2])
            for row in params]
     params = [row[:3] for row in params]
     sizes = [z + 1 for _, _, z in params]
     offsets = [0, *accumulate(sizes)]
-    single = len(params) == 1
-
-    index = np.arange(offsets[-1], dtype=np.int64)
     off = per_cell(offsets[:-1], sizes)
-    local = index if single else index - off
-    pi = local * per_cell([q % z for q, _, z in params], sizes)
-    pi %= per_cell([z for _, _, z in params], sizes)
-    if not single:
-        pi += off
+    local = np.arange(offsets[-1], dtype=np.int64)
+    local -= off
+    jump = local * per_cell([q % z for q, _, z in params], sizes)
+    jump %= per_cell([z for _, _, z in params], sizes)
+    jump += off
     ends = [hi - 1 for hi in offsets[1:]]
-    pi[ends] = ends
-    top = max(nus).bit_length() - 1
-    # windows of one step (S_k = k, the minimum k, jump pi(k)) in the rows
-    # whose nu has the top digit, the empty window in the others
-    lead = _cells_with_digit(nus, sizes, top)
-    if lead is True:
-        sums, mins, jump = local, local.copy(), pi.copy()
-    else:
-        sums = np.where(lead, local, 0)
-        mins = np.where(lead, local, np.iinfo(np.int64).max)
-        jump = np.where(lead, pi, index)
-    del index, local
-    buf = np.empty_like(sums)
+    jump[ends] = ends
+    # the orbit minima as cells of the batch
+    mins = local + off
+    buf = np.empty_like(mins)
     # every index is in range; mode="clip" lets np.take write into buf
     # directly, where the default mode goes through a buffer
-    for bit in range(top - 1, -1, -1):
-        np.take(sums, jump, out=buf, mode="clip")
-        sums += buf
+    for done in range((max(nus) - 1).bit_length()):
+        if done:
+            np.take(jump, jump, out=buf, mode="clip")
+            jump, buf = buf, jump
         np.take(mins, jump, out=buf, mode="clip")
         np.minimum(mins, buf, out=mins)
-        np.take(jump, jump, out=buf, mode="clip")
-        jump, buf = buf, jump
-        grow = _cells_with_digit(nus, sizes, bit)
-        if grow is False:
-            continue
-        # the index pi^L(k) within its row
-        step = jump if single else np.subtract(jump, off, out=buf)
-        if grow is True:
-            sums += step
-            np.minimum(mins, step, out=mins)
-            np.take(pi, jump, out=buf, mode="clip")
-            jump, buf = buf, jump
-        else:
-            np.add(sums, step, out=sums, where=grow)
-            np.minimum(mins, step, out=mins, where=grow)
-            np.take(pi, jump, out=buf, mode="clip")
-            np.copyto(jump, buf, where=grow)
-    del pi, jump, off
+    # each orbit's sum and length at its minimum, in the two buffers
+    orbit_sum, orbit_len = jump, buf
+    orbit_sum.fill(0)
+    np.add.at(orbit_sum, mins, local)
+    orbit_len.fill(0)
+    np.add.at(orbit_len, mins, 1)
+    # S_k = (nu / length) * orbit sum at every index, over arrays now free
+    ratio = np.take(orbit_len, mins, out=local, mode="clip")
+    np.floor_divide(per_cell(nus, sizes), ratio, out=ratio)
+    sums = np.take(orbit_sum, mins, out=orbit_len, mode="clip")
+    sums *= ratio
+    buf = orbit_sum
+    mins -= off
+    del local, ratio, off
     scale, divisor = [], []
     for (q, n, z), nu in zip(params, nus):
         g = gcd(q - 1, z)

@@ -1,6 +1,7 @@
 """Validation oracles: independent, slow, full-width implementations that
 the tests compare the package against.  None of them is part of `loewy`."""
 
+import json
 import sys
 from math import gcd
 from pathlib import Path
@@ -89,6 +90,41 @@ def m_groups_per_unit(e: int) -> dict[int, list[int]]:
         if q % e != 1 and gcd(q, e) == 1:
             groups.setdefault(m_value(q, e).m, []).append(q)
     return {m: sorted(v) for m, v in sorted(groups.items())}
+
+
+def json_line_oracle(record) -> str:
+    """The JSON line of a `DbRecord` as a dict of its fields dumped by
+    json.dumps: the encoder `DbRecord.to_json_line` must equal byte for
+    byte."""
+    payload = {
+        "schema": 1,
+        "z": record.key.z,
+        "q": record.key.q_rep,
+        "n": record.n,
+        "subgroup": list(record.key.subgroup),
+        "e": record.e_decimal,
+        "m": record.m,
+        "ll": record.ll,
+        "bound": record.bound,
+        "gap": record.gap,
+        "loewy_vector": list(record.loewy_vector),
+        "flags": record.flags,
+        "runtime_ms": record.runtime_ms,
+    }
+    return json.dumps(payload, separators=(",", ":"))
+
+
+def csv_row_oracle(record) -> str:
+    """The CSV row of a `DbRecord` joined field by field, the vector cut to
+    its first 32 entries: the row `DbRecord.to_csv_row` must equal."""
+    return ",".join([
+        str(record.key.z), str(record.key.q_rep), str(record.n),
+        record.e_decimal, str(record.m), str(record.ll), str(record.bound),
+        str(record.gap),
+        *(str(int(record.flags[name])) for name in
+          ("uniserial", "bound_attained", "ll_three", "spike_vector")),
+        ";".join(str(c) for c in record.loewy_vector[:32]),
+    ])
 
 
 def exact_exponent_vector(q: int, n: int, z: int, k: int) -> list[int]:

@@ -428,6 +428,15 @@ class TestDegreeKernel:
                 alg = Algebra(q, mult * n, z)
                 assert alg.nu == n and alg.m() == mult * Algebra(q, n, z).m()
 
+    def test_nu_below_n_in_a_batch(self):
+        # A(2, 8, 15) has nu = 4 and orbits of length 1, 2 and 4, so each
+        # orbit's sum scales by nu / length and then by n / nu; beside it
+        # rows of long orbits set the number of doubling passes
+        long_rows = [p for p in key_params([97, 89, 101]) if p[1] > 40]
+        assert mult_order(2, 15) == 4 and long_rows
+        self.check_batch([(2, 8, 15), *long_rows, (2, 12, 15), (3, 12, 70)])
+        self.check_batch([*long_rows, (2, 8, 15)])
+
     def test_nu_one(self):
         # q = 1 mod z: pi is the identity and every index is its own orbit
         for z in (1, 2, 3, 10, 97, 1000):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from loewy import algebra, mfunc
 from loewy.arith import format_decimal, parse_decimal
 from loewy.cli import build_parser, main
+from loewy.errors import CapacityError
 
 DATA = Path(__file__).parent / "data"
 # 2^15000 - 1 has 4516 digits; str() refuses ints beyond 4300
@@ -125,6 +126,34 @@ class TestCapacity:
                                   "--z", "2"], capsys)
         assert code == 0 and err == ""
         assert f"R7 bound_attained :: m={2**61} divides q-1={2**62}" in out
+
+
+    def test_invariants_over_budget(self, capsys, monkeypatch):
+        # q = 1 mod z: LL = z + 1, and the report would have about 2 LL^2
+        # lines; it is refused before any set product
+        from loewy import invariants
+
+        monkeypatch.setattr(invariants, "socle_series", self._unreachable)
+        monkeypatch.setattr(invariants, "set_product", self._unreachable)
+        start = time.perf_counter()
+        code, out, err = run_cli(["algebra", "--q", "241", "--n", "1", "--z",
+                                  "240", "--invariants"], capsys)
+        assert time.perf_counter() - start < 5
+        assert code == 2 and "LL = 241" in out
+        assert err.startswith("capacity error:") and "Traceback" not in err
+
+    def test_invariants_budget_is_lines(self, monkeypatch):
+        # the budget counts 2 LL^2 against INVARIANT_LINES_CAPACITY
+        from loewy import invariants
+        from loewy.algebra import Algebra
+
+        alg = Algebra(41, 1, 40)
+        monkeypatch.setattr(invariants, "INVARIANT_LINES_CAPACITY", 2 * 41 * 41)
+        report = invariants.invariant_report(alg)
+        assert len(report.splitlines()) == 2 * 41 * 41 + 4 * 41 + 3
+        monkeypatch.setattr(invariants, "INVARIANT_LINES_CAPACITY", 2 * 41 * 41 - 1)
+        with pytest.raises(CapacityError, match="LL = 41"):
+            invariants.invariant_report(alg)
 
 
 class TestResolution:
@@ -378,6 +407,32 @@ class TestScanPipeline:
             code, _, err = run_cli(args, capsys)
             assert code == 1
             assert "line 3" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("field,value", [
+        ("flags", 5), ("m", "2"), ("ll", 3.0), ("e", "7x"), ("subgroup", [1, None]),
+    ])
+    def test_mistyped_field_exits_1(self, field, value, tmp_path, capsys):
+        # a record field of another type than the writer gives it stops
+        # every reader at its line, with one message and no traceback
+        db = tmp_path / "db.jsonl"
+        run_cli(["scan", "--zmin", "2", "--zmax", "6", "--out", str(db)], capsys)
+        lines = db.read_text().splitlines(keepends=True)
+        data = json.loads(lines[2])
+        data[field] = value
+        lines[2] = json.dumps(data, separators=(",", ":")) + "\n"
+        db.write_text("".join(lines))
+        before = db.read_bytes()
+        csv = tmp_path / "db.csv"
+        for args in (["stats", "--in", str(db)],
+                     ["screen", "--in", str(db), "--z", "5"],
+                     ["verify", "--in", str(db)],
+                     ["scan", "--zmin", "2", "--zmax", "7", "--out", str(db),
+                      "--csv", str(csv)]):
+            code, _, err = run_cli(args, capsys)
+            assert code == 1, args
+            assert err.startswith("error: ") and err.count("\n") == 1, args
+            assert "line 3" in err and "Traceback" not in err
+        assert db.read_bytes() == before and not csv.exists()
 
     def test_verify_detects_corruption(self, tmp_path, capsys):
         db = tmp_path / "db.jsonl"

@@ -1,7 +1,12 @@
 import json
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import csv_row_oracle, json_line_oracle
+from loewy.algebra import FLAG_NAMES
 from loewy.database import (
     CSV_HEADER,
     DbRecord,
@@ -60,6 +65,98 @@ class TestRecords:
         keys = list(json.loads(rec.to_json_line()).keys())
         assert keys == ["schema", "z", "q", "n", "subgroup", "e", "m", "ll",
                         "bound", "gap", "loewy_vector", "flags", "runtime_ms"]
+
+
+big_ints = st.one_of(st.integers(0, 200), st.integers(-(10**40), 10**80))
+vectors = st.one_of(st.lists(st.integers(1, 10**12), min_size=1, max_size=40),
+                    st.sampled_from([[1], [1] * 40, list(range(1, 41))]))
+flag_values = st.tuples(*[st.booleans()] * len(FLAG_NAMES))
+
+
+@st.composite
+def records(draw):
+    vector = draw(vectors)
+    digits = draw(st.one_of(st.integers(1, 30), st.integers(1000, 5000)))
+    e = draw(st.text("0123456789", min_size=digits, max_size=digits))
+    key = EquivKey(draw(big_ints), tuple(draw(st.lists(big_ints, min_size=1))),
+                   draw(big_ints))
+    fields = [draw(big_ints) for _ in range(6)]
+    flags = dict(zip(FLAG_NAMES, draw(flag_values)))
+    text = draw(st.sampled_from(["", ",".join(map(str, vector))]))
+    return DbRecord(key, fields[0], e, *fields[1:5], tuple(vector), flags,
+                    fields[5], text)
+
+
+class TestRecordFormat:
+    """The f-string formatters equal the dict-plus-json.dumps encoder and
+    the joined CSV row they replace, and the loader reads their lines back
+    to the same record."""
+
+    @staticmethod
+    def check(record):
+        line = record.to_json_line()
+        assert line == json_line_oracle(record)
+        assert record.to_csv_row() == csv_row_oracle(record)
+        again = DbRecord.from_json_line(line)
+        assert again == record
+        assert again.to_json_line() == line
+        assert again.to_csv_row() == record.to_csv_row()
+        assert DbRecord.from_json_line(line.encode()) == record
+
+    @settings(max_examples=300, deadline=None)
+    @given(records())
+    def test_formatters_equal_the_oracles(self, record):
+        self.check(record)
+
+    def test_every_flag_combination(self):
+        rec = compute_record(subgroup_representatives(40)[3])
+        for values in product((False, True), repeat=len(FLAG_NAMES)):
+            for text in ("", rec.vector_text):
+                self.check(DbRecord(rec.key, rec.n, rec.e_decimal, rec.m,
+                                    rec.ll, rec.bound, rec.gap, rec.loewy_vector,
+                                    dict(zip(FLAG_NAMES, values)), 0, text))
+
+    def test_scan_records(self):
+        for rec in scan_records(2, 60):
+            self.check(rec)
+
+
+class TestLoaderTypes:
+    """A field of another type or form than the writer gives it is
+    refused with a DomainError, never read into a record."""
+
+    LINE = compute_record(subgroup_representatives(12)[2]).to_json_line()
+
+    @pytest.mark.parametrize("field,value", [
+        ("flags", 5), ("flags", None), ("z", "12"), ("q", 2.0), ("n", True),
+        ("m", None), ("ll", [3]), ("bound", 4.5), ("gap", False),
+        ("runtime_ms", "0"), ("schema", 2), ("e", 91), ("e", "9l"),
+        ("e", ""), ("e", "\u0669"), ("subgroup", [1, "5"]), ("subgroup", 5),
+        ("loewy_vector", [1, True]), ("loewy_vector", "1,2"),
+        ("flags", {"uniserial": 1, "bound_attained": True, "ll_three": False,
+                   "spike_vector": False}),
+        ("flags", {"bound_attained": True, "uniserial": False,
+                   "ll_three": False, "spike_vector": False}),
+        ("flags", {"uniserial": False, "bound_attained": True}),
+    ])
+    def test_mistyped_field(self, field, value):
+        data = json.loads(self.LINE)
+        data[field] = value
+        with pytest.raises(DomainError):
+            DbRecord.from_json_line(json.dumps(data, separators=(",", ":")))
+
+    @pytest.mark.parametrize("line", [
+        "5", "[1, 2]", '"record"', "null", '{"z": 5}',
+        '{"schema":1,"z":5,"q":"2","subgroup":[1,2,3,4],"error":"budget"}',
+        '{"schema":1,"z":5,"q":2,"subgroup":[1,2,3,4],"error":7}',
+    ])
+    def test_malformed_line(self, line):
+        with pytest.raises(DomainError):
+            DbRecord.from_json_line(line)
+
+    def test_error_row_round_trip(self):
+        line = '{"schema":1,"z":5,"q":2,"subgroup":[1,2,3,4],"error":"budget"}'
+        assert DbRecord.from_json_line(line).to_json_line() == line
 
 
 class TestScan:
