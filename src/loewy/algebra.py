@@ -214,20 +214,13 @@ class Algebra:
     # calling these
     @cached_property
     def degrees(self) -> np.ndarray:
-        self.degrees, self.orbit_min = degrees_and_orbit_min([self._kernel_row()])
+        self.degrees, self.orbit_min = degrees_and_orbit_min([(self.q, self.n, self.z)])
         return self.degrees
 
     @cached_property
     def orbit_min(self) -> np.ndarray:
-        self.degrees, self.orbit_min = degrees_and_orbit_min([self._kernel_row()])
+        self.degrees, self.orbit_min = degrees_and_orbit_min([(self.q, self.n, self.z)])
         return self.orbit_min
-
-    def _kernel_row(self) -> tuple[int, ...]:
-        """The algebra's row of the degree kernel; it carries nu when the
-        algebra knows it, so the kernel does not compute it again."""
-        if "nu" in vars(self):
-            return self.q, self.n, self.z, self.nu
-        return self.q, self.n, self.z
 
     # -- parameters -------------------------------------------------------
 
@@ -427,7 +420,7 @@ def loewy_profiles(algs) -> list[LoewyProfile]:
         for alg in todo:
             vars(alg).pop("degrees", None)
             vars(alg).pop("orbit_min", None)
-        deg, omin = degrees_and_orbit_min([alg._kernel_row() for alg in todo])
+        deg, omin = degrees_and_orbit_min([(alg.q, alg.n, alg.z) for alg in todo])
         sizes = [alg.z + 1 for alg in todo]
         offsets = [0, *accumulate(sizes)]
         for alg, lo, hi in zip(todo, offsets, offsets[1:]):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain, product
@@ -26,7 +27,7 @@ from .algebra import FLAG_NAMES, Algebra, loewy_flags, loewy_profiles, same_tabl
 from .arith import cyclic_subgroups, format_decimal, mult_order  # noqa: F401
 from .errors import CapacityError, DomainError
 from .invariants import invariant_report, report_difference
-from .mfunc import INDEX_CAPACITY
+from .mfunc import require_index_capacity
 
 SCHEMA_VERSION = 1
 
@@ -170,20 +171,14 @@ CSV_HEADER = ("z,q,n,e,m,ll,bound,gap,uniserial,bound_attained,ll_three,"
               "spike_vector,loewy_vector")
 
 
-def _require_key_capacity(z: int) -> None:
-    if z > INDEX_CAPACITY:
-        raise CapacityError(
-            f"z exceeds {INDEX_CAPACITY}, the largest z an algebra holds"
-        )
-
-
 def subgroup_representatives(z: int) -> list[EquivKey]:
     """One key per cyclic subgroup of (Z/z)^x, sorted by (order, smallest
     generator); q = 1 is replaced by q = z + 1.  A z beyond INDEX_CAPACITY
-    is refused before its units are swept."""
+    is refused, as the algebra A[z + 1, 1, z] of its first key would be,
+    before its units are swept."""
     if z < 1:
         raise DomainError(f"z must be >= 1, got {z}")
-    _require_key_capacity(z)
+    require_index_capacity(z + 1, 1, z)
     if z == 1:
         return [EquivKey(z=1, subgroup=(1,), q_rep=2)]
     return [EquivKey(z=z, subgroup=sub, q_rep=z + 1 if gen == 1 else gen)
@@ -191,50 +186,50 @@ def subgroup_representatives(z: int) -> list[EquivKey]:
 
 
 def key_algebra(key: EquivKey) -> Algebra:
-    """The algebra A[q, n, z] of a key, with n = nu = ord_z(q), the length
-    of the key's subgroup."""
-    alg = Algebra(key.q_rep, key.order, key.z)
-    alg.nu = key.order
-    return alg
+    """The algebra A[q, n, z] of a key, with n = ord_z(q), the length of
+    the key's subgroup."""
+    return Algebra(key.q_rep, key.order, key.z)
 
 
-def _record(key: EquivKey, alg: Algebra) -> DbRecord:
+def _record(key: EquivKey, alg: Algebra, e_decimal: str) -> DbRecord:
     """The record of a key from its algebra's bound report and profile,
-    which `loewy_profiles` filled; runtime_ms stays 0, so that rescans are
-    byte-identical."""
+    which `loewy_profiles` filled, and e's decimal text; runtime_ms stays
+    0, so that rescans are byte-identical."""
     report, vector = alg.bound_report(), alg.loewy_vector()
-    return DbRecord(key, alg.n, format_decimal(alg.e()), report.m, report.ll,
+    return DbRecord(key, alg.n, e_decimal, report.m, report.ll,
                     report.bound, report.gap, vector,
                     loewy_flags(vector, report.gap), 0,
                     ",".join(map(str, vector)))
 
 
 def compute_record(key: EquivKey) -> DbRecord:
-    """The record of one key, as a batch of one."""
-    return _record(key, key_algebra(key))
+    """The record of one key, its profile computed alone."""
+    alg = key_algebra(key)
+    return _record(key, alg, format_decimal(alg.e()))
 
 
 def scan_keys(z_min: int, z_max: int) -> list[EquivKey]:
     if z_min < 1 or z_max < z_min:
         raise DomainError(f"invalid range [{z_min}, {z_max}]")
-    _require_key_capacity(z_max)
+    require_index_capacity(z_max + 1, 1, z_max)
     return [key for z in range(z_min, z_max + 1) for key in subgroup_representatives(z)]
 
 
 def compute_batch(keys) -> list:
     """The records of the keys, in order, from one `loewy_profiles` call
-    over their algebras.  A CapacityError from a key's algebra becomes that
-    key's error row, never a silent drop, and the rest of the batch
-    computes normally; anything else propagates (it is a bug)."""
+    over their algebras.  A CapacityError from a key's algebra or from
+    forming its e, as when q^n is too wide, becomes that key's error row,
+    never a silent drop, and no profile is computed for it; the rest of the
+    batch computes normally, and anything else propagates (it is a bug)."""
     built = []
     for key in keys:
         try:
-            built.append(key_algebra(key))
+            alg = key_algebra(key)
+            built.append((key, alg, format_decimal(alg.e())))
         except CapacityError as exc:
             built.append(ErrorRecord(key=key, error=str(exc)))
-    loewy_profiles([alg for alg in built if isinstance(alg, Algebra)])
-    return [_record(key, alg) if isinstance(alg, Algebra) else alg
-            for key, alg in zip(keys, built)]
+    loewy_profiles([row[1] for row in built if isinstance(row, tuple)])
+    return [_record(*row) if isinstance(row, tuple) else row for row in built]
 
 
 def _batches(keys):
@@ -258,18 +253,24 @@ def compute_records(keys, *, jobs: int = 1):
     cut into batches of at most BATCH_CELLS cells, one per index of their
     rows, and each batch runs one `compute_batch`, so the batch boundaries
     never show in the output.
-    With jobs > 1 a worker pool computes the batches out of order and the
-    pool's mapper restores the order."""
-    if jobs <= 1:
-        for batch in _batches(keys):
+    A pool of worker processes computes the batches out of order, and the
+    pool's mapper restores the order.  It has as many workers as the
+    smallest of jobs, the CPUs this process may use and the batches, since
+    the pool starts all of them at once; with one, no pool starts."""
+    batches = list(_batches(keys))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(jobs, cpus, len(batches))
+    if workers <= 1:
+        for batch in batches:
             yield from compute_batch(batch)
         return
     # imported here: the pool module costs every CLI process memory, and
-    # only jobs > 1 uses it
+    # only a pool uses it
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for records in pool.map(compute_batch, _batches(keys)):
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for records in pool.map(compute_batch, batches):
             yield from records
 
 
@@ -376,12 +377,9 @@ def check_complete(records) -> None:
     if not records:
         return
     by_key = {(rec.key.z, rec.key.q_rep) for rec in records}
-    z_min = min(rec.key.z for rec in records)
-    z_max = max(rec.key.z for rec in records)
-    missing = []
-    for key in scan_keys(z_min, z_max):
-        if (key.z, key.q_rep) not in by_key:
-            missing.append((key.z, key.q_rep))
+    z_min, z_max = min(by_key)[0], max(by_key)[0]
+    missing = [(key.z, key.q_rep) for key in scan_keys(z_min, z_max)
+               if (key.z, key.q_rep) not in by_key]
     if missing:
         head = ", ".join(f"(z={z}, q={q})" for z, q in missing[:8])
         raise DomainError(
@@ -394,110 +392,75 @@ def stats(records) -> dict:
     """Aggregate counts for a complete scan range; error rows are counted
     separately and excluded from the aggregates."""
     check_complete(records)
-    error_rows = sum(1 for rec in records if isinstance(rec, ErrorRecord))
-    records = [rec for rec in records if isinstance(rec, DbRecord)]
-    vectors = set()
-    ll3 = spike = gap_pos = gap_gt1 = 0
-    gap_hist: dict[int, int] = {}
-    smallest_gap_record = None
-    for rec in records:
-        vectors.add(rec.loewy_vector)
-        if rec.ll == 3:
-            ll3 += 1
-        if rec.flags.get("spike_vector"):
-            spike += 1
-        if rec.gap > 0:
-            gap_pos += 1
-            if smallest_gap_record is None or rec.key.z < smallest_gap_record.key.z:
-                smallest_gap_record = rec
-        if rec.gap > 1:
-            gap_gt1 += 1
-        gap_hist[rec.gap] = gap_hist.get(rec.gap, 0) + 1
+    rows = [rec for rec in records if isinstance(rec, DbRecord)]
+    gaps = Counter(rec.gap for rec in rows)
     out = {
-        "parameter_pairs": len(records),
-        "distinct_loewy_vectors": len(vectors),
-        "ll_three": ll3,
-        "spike_vectors": spike,
-        "gap_positive": gap_pos,
-        "gap_above_one": gap_gt1,
-        "gap_histogram": dict(sorted(gap_hist.items())),
-        "error_rows": error_rows,
+        "parameter_pairs": len(rows),
+        "distinct_loewy_vectors": len({rec.loewy_vector for rec in rows}),
+        "ll_three": sum(rec.ll == 3 for rec in rows),
+        "spike_vectors": sum(rec.flags["spike_vector"] for rec in rows),
+        "gap_positive": sum(count for gap, count in gaps.items() if gap > 0),
+        "gap_above_one": sum(count for gap, count in gaps.items() if gap > 1),
+        "gap_histogram": dict(sorted(gaps.items())),
+        "error_rows": len(records) - len(rows),
     }
-    if records:
-        out["z_range"] = [min(r.key.z for r in records), max(r.key.z for r in records)]
-    if smallest_gap_record is not None:
+    if rows:
+        out["z_range"] = [min(rec.key.z for rec in rows), max(rec.key.z for rec in rows)]
+    first = min((rec for rec in rows if rec.gap > 0), key=lambda rec: rec.key.z,
+                default=None)
+    if first is not None:
         out["smallest_dimension_with_gap"] = {
-            "z": smallest_gap_record.key.z,
-            "q": smallest_gap_record.key.q_rep,
-            "n": smallest_gap_record.n,
-            "gap": smallest_gap_record.gap,
+            "z": first.key.z, "q": first.key.q_rep, "n": first.n, "gap": first.gap,
         }
     return out
 
 
+def _classes(z: int, members: list[list[int]]) -> list[dict]:
+    """The classes of one Loewy-vector group, given its [q, n] members:
+    members with identical multiplication tables merge, and the classes
+    left are told apart by their invariant reports.  A class is a list of
+    member positions."""
+    if len(members) == 1:
+        return [{"members": members, "status": "singleton"}]
+    algebras = [Algebra(q, n, z) for q, n in members]
+    classes: list[list[int]] = []
+    for i, alg in enumerate(algebras):
+        cls = next((cls for cls in classes if same_table(algebras[cls[0]], alg)), None)
+        if cls is None:
+            classes.append([i])
+        else:
+            cls.append(i)
+    if len(classes) == 1:
+        return [{"members": members, "status": "isomorphic-by-basis-map"}]
+    reports = [invariant_report(algebras[cls[0]]) for cls in classes]
+    out = []
+    for i, cls in enumerate(classes):
+        # (first differing key, q) against every other class
+        diffs = [(report_difference(reports[i], reports[j]), members[other[0]][0])
+                 for j, other in enumerate(classes) if j != i]
+        entry = {"members": [members[k] for k in cls]}
+        twins = [q for diff, q in diffs if diff is None]
+        if twins:
+            # identical reports elsewhere: isomorphism stays undecided
+            entry.update(status="unresolved", unresolved_against=twins)
+        else:
+            entry.update(status="distinguished-by",
+                         distinguished_by=sorted({diff for diff, _ in diffs}))
+        out.append(entry)
+    return out
+
+
 def isomorphism_screen(records, z: int) -> list[dict]:
-    """Partition the records at a fixed z by Loewy vector, then inside each
-    group merge by identical multiplication tables and separate survivors by
-    their invariant reports."""
+    """Partition the records at a fixed z by Loewy vector, then split each
+    group into its classes (`_classes`)."""
     at_z = [rec for rec in records
             if rec.key.z == z and isinstance(rec, DbRecord)]
     expected = {key.q_rep for key in subgroup_representatives(z)}
     if {rec.key.q_rep for rec in at_z} != expected:
         raise DomainError(f"records for z={z} are incomplete")
-    groups: dict[tuple, list[DbRecord]] = {}
+    groups: dict[tuple, list[list[int]]] = {}
     for rec in at_z:
-        groups.setdefault(rec.loewy_vector, []).append(rec)
-    out = []
-    for vector, members in sorted(groups.items()):
-        entry = {"loewy_vector": list(vector), "members": [], "classes": []}
-        entry["members"] = [[rec.key.q_rep, rec.n] for rec in members]
-        if len(members) == 1:
-            entry["classes"].append({
-                "members": entry["members"],
-                "status": "singleton",
-            })
-            out.append(entry)
-            continue
-        algebras = {rec.key.q_rep: Algebra(rec.key.q_rep, rec.n, z)
-                    for rec in members}
-        # union by identical tables
-        classes: list[list[DbRecord]] = []
-        for rec in members:
-            for cls in classes:
-                if same_table(algebras[cls[0].key.q_rep], algebras[rec.key.q_rep]):
-                    cls.append(rec)
-                    break
-            else:
-                classes.append([rec])
-        if len(classes) == 1:
-            entry["classes"].append({
-                "members": entry["members"],
-                "status": "isomorphic-by-basis-map",
-            })
-            out.append(entry)
-            continue
-        reports = {cls[0].key.q_rep: invariant_report(algebras[cls[0].key.q_rep])
-                   for cls in classes}
-        for i, cls in enumerate(classes):
-            labels = []
-            twins = []
-            for j, other in enumerate(classes):
-                if i == j:
-                    continue
-                diff = report_difference(reports[cls[0].key.q_rep],
-                                         reports[other[0].key.q_rep])
-                if diff is None:
-                    twins.append(other[0].key.q_rep)
-                else:
-                    labels.append(diff)
-            record = {"members": [[rec.key.q_rep, rec.n] for rec in cls]}
-            if twins:
-                # identical reports elsewhere: isomorphism stays undecided
-                record["status"] = "unresolved"
-                record["unresolved_against"] = twins
-            else:
-                record["status"] = "distinguished-by"
-                record["distinguished_by"] = sorted(set(labels))
-            entry["classes"].append(record)
-        out.append(entry)
-    return out
+        groups.setdefault(rec.loewy_vector, []).append([rec.key.q_rep, rec.n])
+    return [{"loewy_vector": list(vector), "members": members,
+             "classes": _classes(z, members)}
+            for vector, members in sorted(groups.items())]

@@ -9,12 +9,13 @@ closed form; the tests add a third, a digit-sum scan over the multiples of
 e in full-width integers.  The residue-sum kernel, `degrees_and_orbit_min`,
 also gives `Algebra` the degrees of its basis monomials and the orbit
 minima of k -> kq mod z: it finds the minima by pointer doubling on that
-permutation, in ceil(log2(ord_z(q))) passes over z-length arrays, and each
-orbit's sum of residues by scatter-adds keyed by its minimum, never forming
-the z*ord_z(q) cells.  A batch of (q, n, z) runs as one, every row through
-the same passes, with the index ranges end to end in one set of arrays;
-the degrees and orbit minima come back as two flat arrays in that layout,
-so a scan batch costs one call instead of one per key.
+permutation, in ceil(log2(min(n, z))) passes over z-length arrays (n =
+ord_z(q) on a scan key), and each orbit's sum of residues and length by
+scatter-adds keyed by its minimum, never forming the z*ord_z(q) cells; the
+orbit of 1 gives ord_z(q) itself.  A batch of (q, n, z) runs as one, every
+row through the same passes, with the index ranges end to end in one set
+of arrays; the degrees and orbit minima come back as two flat arrays in
+that layout, so a scan batch costs one call instead of one per key.
 """
 
 from __future__ import annotations
@@ -205,9 +206,7 @@ def degrees_and_orbit_min(params) -> tuple[np.ndarray, np.ndarray]:
     """(degrees, orbit_min) as flat int64 arrays for a nonempty batch of
     (q, n, z) that passed `require_index_capacity`: the rows lie end to
     end, row r over 0 <= k <= z from offset o_r = the sum of z + 1 over the
-    rows before it, and orbit_min holds indices within the row.  A row may
-    carry nu = ord_z(q) as a fourth entry, (q, n, z, nu); the kernel
-    computes it for the rows without.
+    rows before it, and orbit_min holds indices within the row.
 
     degrees[k] is the digit sum of k*e, e = (q^n - 1)/z, and orbit_min[k]
     the smallest index of the orbit of k under pi(k) = kq mod z, with z a
@@ -218,14 +217,13 @@ def degrees_and_orbit_min(params) -> tuple[np.ndarray, np.ndarray]:
     One array pi maps o_r + k to o_r + kq mod z for every row at once.
     Minima over windows of L steps of pi double by pointer doubling: a
     window takes the minimum with itself read at jump[k] = pi^L(k), and
-    jump doubles by reading itself.  After ceil(log2(max nu)) passes every
-    window covers its orbit, whatever the row's nu, since a minimum taken
-    twice is the same.  Each orbit's sum and length then come by exact
-    int64 scatter-adds keyed by its minimum, and S_k is nu / length times
-    the orbit sum."""
-    nus = [row[3] if len(row) > 3 else mult_order(row[0], row[2])
-           for row in params]
-    params = [row[:3] for row in params]
+    jump doubles by reading itself.  As nu divides n and nu <= z, after
+    ceil(log2(max min(n, z))) passes every window covers its orbit,
+    whatever the row's nu, since a minimum taken twice is the same; on a
+    scan key n = nu, so that is ceil(log2(max nu)).  Each orbit's sum and
+    length then come by exact int64 scatter-adds keyed by its minimum.  nu
+    is the length of the orbit of index 1, whose minimum is 1, so no order
+    is computed, and S_k is nu / length times the orbit sum."""
     sizes = [z + 1 for _, _, z in params]
     offsets = [0, *accumulate(sizes)]
     off = per_cell(offsets[:-1], sizes)
@@ -241,7 +239,7 @@ def degrees_and_orbit_min(params) -> tuple[np.ndarray, np.ndarray]:
     buf = np.empty_like(mins)
     # every index is in range; mode="clip" lets np.take write into buf
     # directly, where the default mode goes through a buffer
-    for done in range((max(nus) - 1).bit_length()):
+    for done in range((max(min(n, z) for _, n, z in params) - 1).bit_length()):
         if done:
             np.take(jump, jump, out=buf, mode="clip")
             jump, buf = buf, jump
@@ -253,6 +251,7 @@ def degrees_and_orbit_min(params) -> tuple[np.ndarray, np.ndarray]:
     np.add.at(orbit_sum, mins, local)
     orbit_len.fill(0)
     np.add.at(orbit_len, mins, 1)
+    nus = orbit_len[np.add(offsets[:-1], 1)].tolist()
     # S_k = (nu / length) * orbit sum at every index, over arrays now free
     ratio = np.take(orbit_len, mins, out=local, mode="clip")
     np.floor_divide(per_cell(nus, sizes), ratio, out=ratio)

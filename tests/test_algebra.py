@@ -445,20 +445,18 @@ class TestDegreeKernel:
                 _, orbit_min = degrees_and_orbit_min([(q, n, z)])
                 assert orbit_min.tolist() == list(range(z + 1))
 
-    def test_given_nu(self, monkeypatch):
-        # a row may carry nu = ord_z(q); the kernel computes it for the
-        # rows without, and the arrays are the same
-        params = list(key_params(range(1, 301)))
-        want = kernel_rows(params)
-        given = [(q, n, z, n) for q, n, z in params]
-        mixed = [row if i % 2 else row[:3] for i, row in enumerate(given)]
-        got = [kernel_rows(mixed)]
+    def test_no_order_computed(self, oracle, monkeypatch):
+        # nu = ord_z(q) is the length of the orbit of index 1, so no kernel
+        # call computes an order, with n = nu or a multiple of it, batched
+        # or alone; at n = k*nu every degree is k times that at n = nu
         monkeypatch.setattr(mfunc, "mult_order", unreachable)
-        got += [kernel_rows(given), [kernel_rows([row])[0] for row in given]]
-        for arrays in got:
-            for (deg, omin), (want_deg, want_omin), row in zip(arrays, want, given):
-                assert np.array_equal(deg, want_deg), row
-                assert np.array_equal(omin, want_omin), row
+        for mult in (1, 2, 3, 5):
+            want = {(q, mult * n, z): (mult * deg, omin)
+                    for (q, n, z), (deg, omin) in oracle.items()}
+            params = list(want)
+            self.check_batch(params, want)
+            for p in params:
+                self.check_batch([p], want)
 
     def test_tiny_z(self):
         for q, n in [(2, 1), (2, 5), (3, 2), (7, 3), (2**62 + 1, 1)]:

@@ -397,6 +397,29 @@ class TestScanPipeline:
                         for path in (db, csv))
         assert digests == self.PINNED[band]
 
+    # sha256 of the read-side outputs, after the echo line, on the JSONL
+    # of `scan --zmin 2 --zmax 117`
+    READ_SIDE = {
+        ("stats",): "7a9a19bb75c5a81267d3230d7bb405a99746547cf2e32c78ed5c3e5fc24eb791",
+        ("stats", "--json"): "d21dbbb510025b67cbd40cf8e366ecce5fc5cd333dfb53ae81a0b32bfdb4b655",
+        ("screen", "--z", "40"): "8509bfb1f66d783c988fd287b85a8576bcfaa3e87083c9c123414e3f7c02bfc2",
+        ("screen", "--z", "65"): "aa0c9afbbfd6236e410de30c675afe9b863140f749077d808a54d39880df92e9",
+        ("screen", "--z", "117"): "3600156a35239551259652b0d96d55a1f1fe03ca62e179420570d0b409286d3e",
+    }
+
+    def test_read_side_pinned(self, tmp_path, capsys):
+        db = tmp_path / "db.jsonl"
+        code, _, _ = run_cli(["scan", "--zmin", "2", "--zmax", "117", "--out", str(db)],
+                             capsys)
+        assert code == 0
+        assert hashlib.sha256(db.read_bytes()).hexdigest() == (
+            "1cd6b255e3aad751ae34c9541a6048f1aacc4c44ca073bc55d9afb752abc6759")
+        for (command, *extra), want in self.READ_SIDE.items():
+            code, out, err = run_cli([command, "--in", str(db), *extra], capsys)
+            assert code == 0 and err == ""
+            body = out.split("\n", 1)[1]
+            assert hashlib.sha256(body.encode()).hexdigest() == want, (command, *extra)
+
     def test_malformed_file_exits_1(self, tmp_path, capsys):
         db = tmp_path / "db.jsonl"
         run_cli(["scan", "--zmin", "2", "--zmax", "6", "--out", str(db)], capsys)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import csv_row_oracle, json_line_oracle
 from loewy.algebra import FLAG_NAMES
+from loewy.arith import POWER_CAPACITY_BITS, mult_order
 from loewy.database import (
     CSV_HEADER,
     DbRecord,
@@ -351,8 +352,9 @@ class TestBatches:
                 assert rec == want
 
     def test_keys_bring_their_order(self, monkeypatch):
-        # n = nu = ord_z(q) is the length of a key's subgroup, so a scan
-        # computes no multiplicative order for the degree kernel
+        # n = nu = ord_z(q) is the length of a key's subgroup, and the
+        # degree kernel reads nu off the orbit of index 1, so a scan
+        # computes no multiplicative order
         import loewy.algebra
         import loewy.database as db
         import loewy.mfunc
@@ -367,6 +369,31 @@ class TestBatches:
         monkeypatch.setattr(loewy.algebra, "mult_order", unreachable)
         assert list(scan_records(2, 60)) == want
 
+    def test_wide_e_becomes_its_error_row(self, monkeypatch):
+        # the last key of z = 524341, A(6, 524340, 524341): its algebra
+        # builds, but q^n needs 1 048 680 bits, more than the package forms;
+        # the key becomes its error row, and no profile is computed for it
+        import loewy.database as db
+
+        z = 524341
+        wide = EquivKey(z, tuple(range(1, z)), 6)
+        assert mult_order(6, z) == z - 1 == wide.order
+        small = scan_keys(5, 9)
+        want = [compute_record(key) for key in small]
+        profiled, real = [], db.loewy_profiles
+
+        def recording(algs):
+            profiled.extend(algs)
+            return real(algs)
+
+        monkeypatch.setattr(db, "loewy_profiles", recording)
+        records = db.compute_batch([*small[:4], wide, *small[4:]])
+        assert records[4] == db.ErrorRecord(
+            wide, f"q^n has more than {POWER_CAPACITY_BITS} bits, the most "
+                  "this package forms in full")
+        assert records[:4] + records[5:] == want
+        assert [alg.z for alg in profiled] == [key.z for key in small]
+
     def test_cut_under_budget(self):
         import loewy.database as db
 
@@ -376,6 +403,55 @@ class TestBatches:
         for batch in batches:
             cells = sum(key.z + 1 for key in batch)
             assert cells <= db.BATCH_CELLS or len(batch) == 1
+
+
+class TestJobs:
+    """The pool has as many workers as the smallest of jobs, the CPUs this
+    process may use and the batches, since it starts them all at once."""
+
+    @pytest.mark.parametrize("jobs, cpus, cells, size", [
+        (100000, 3, 1 << 12, 3),  # the CPUs
+        (2, 64, 1 << 12, 2),  # jobs
+        (100000, 64, 1 << 12, 4),  # the four batches of [2, 60]
+        (100000, 1, 1 << 12, None),  # one CPU: no pool
+        (100000, 64, 1 << 30, None),  # one batch: no pool
+        (1, 64, 1 << 12, None),
+        (100000, None, 1 << 12, 3),  # no affinity call: os.cpu_count() = 3
+    ])
+    def test_pool_size(self, jobs, cpus, cells, size, monkeypatch):
+        # a stub in place of the pool records its size and maps in this
+        # process, so no process starts
+        import concurrent.futures
+        import os
+
+        import loewy.database as db
+
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        want = list(scan_records(2, 60))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+        monkeypatch.setattr(db, "BATCH_CELLS", cells)
+        assert list(scan_records(2, 60, jobs=jobs)) == want
+        assert sizes == ([] if size is None else [size])
 
 
 class TestStats:
