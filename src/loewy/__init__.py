@@ -8,7 +8,6 @@ floor(n(q-1)/m) + 1 and its attainment) reduce to arithmetic modulo z.
 
 from .algebra import (
     Algebra,
-    BoundReport,
     LoewyProfile,
     OrbitRow,
     Witness,
@@ -53,7 +52,6 @@ from .mfunc import (
 
 __all__ = [
     "Algebra",
-    "BoundReport",
     "CapacityError",
     "CriterionVerdict",
     "DbRecord",

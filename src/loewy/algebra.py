@@ -73,15 +73,21 @@ VALIDITY_CAPACITY_BYTES = 1 << 30
 INVARIANT_LINES_CAPACITY = 1 << 15
 
 
+# The flags of an algebra, in the order its records store them.
+FLAG_NAMES = ("uniserial", "bound_attained", "ll_three", "spike_vector")
+
+
 @dataclass(frozen=True)
 class LoewyProfile:
-    """Per-index layer function and derived data.
+    """The Loewy structure of an algebra against its bound.
 
     lam[k] is the maximal number of radical basis factors in a factorization
     of b_k (lam[0] = 0 for the identity); it is constant on the orbits of
     k -> kq mod z.  loewy_vector = (1, c_1, ..., c_L) with
-    c_t = #{k >= 1 : lam[k] = t}; ll = lam[z] + 1.  irreducibles are the
-    k >= 1 with lam[k] = 1, ascending, read off lam on first use.
+    c_t = #{k >= 1 : lam[k] = t}; ll = lam[z] + 1.  m is the least degree
+    of a radical basis monomial and bound = n(q - 1) // m + 1 the paper's
+    bound on ll, which every profile is checked to respect.  irreducibles
+    are the k >= 1 with lam[k] = 1, ascending, read off lam on first use.
     Maximal factorizations are not stored: `Algebra.left_factor` finds each
     factor on demand.  Profiles come from `loewy_profiles`: the layers the
     chain certificate proves equal to the bound deg[k] // m are taken from
@@ -93,19 +99,29 @@ class LoewyProfile:
     lam: np.ndarray
     loewy_vector: tuple[int, ...]
     ll: int
+    m: int
+    bound: int
+
+    @property
+    def gap(self) -> int:
+        return self.bound - self.ll
+
+    @property
+    def flags(self) -> dict[str, bool]:
+        """The flags named in FLAG_NAMES, in that order."""
+        vector = self.loewy_vector
+        tail = vector[2:].count(1)
+        return {
+            "uniserial": vector[:2].count(1) + tail == len(vector),
+            "bound_attained": self.ll == self.bound,
+            "ll_three": len(vector) == 3,
+            "spike_vector": len(vector) > 3 and tail == len(vector) - 2,
+        }
 
     @cached_property
     def irreducibles(self) -> tuple[int, ...]:
         # lam[0] = 0, so every hit is some k >= 1
         return tuple(np.flatnonzero(self.lam == 1).tolist())
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    ll: int
-    bound: int
-    gap: int
-    m: int
 
 
 @dataclass(frozen=True)
@@ -204,9 +220,7 @@ class Algebra:
         self.q = q
         self.n = n
         self.z = z
-        self._m: int | None = None
         self._profile: LoewyProfile | None = None
-        self._report: BoundReport | None = None
 
     # -- the degree arrays, filled on first use ---------------------------
 
@@ -243,9 +257,7 @@ class Algebra:
 
     def m(self) -> int:
         """The least degree of a radical basis monomial."""
-        if self._m is None:
-            self._m = int(self.degrees[1:].min())
-        return self._m
+        return int(self.degrees[1:].min())
 
     def __repr__(self) -> str:
         return f"Algebra(q={self.q}, n={self.n}, z={self.z})"
@@ -295,22 +307,6 @@ class Algebra:
 
     def loewy_length(self) -> int:
         return self.loewy_profile().ll
-
-    # -- bound -------------------------------------------------------------
-
-    def upper_bound(self) -> int:
-        return self.n * (self.q - 1) // self.m() + 1
-
-    def bound_report(self) -> BoundReport:
-        """Loewy length against its bound, computed once per algebra."""
-        if self._report is None:
-            ll = self.loewy_length()
-            bound = self.upper_bound()
-            gap = bound - ll
-            if gap < 0:
-                raise AssertionError("Loewy length exceeded its upper bound")
-            self._report = BoundReport(ll=ll, bound=bound, gap=gap, m=self.m())
-        return self._report
 
     # -- witnesses -----------------------------------------------------------
 
@@ -380,24 +376,7 @@ class Algebra:
         return "\n".join(lines) + "\n"
 
     def flags(self) -> dict[str, bool]:
-        return loewy_flags(self.loewy_vector(), self.bound_report().gap)
-
-
-# The flags of an algebra, in the order its records store them.
-FLAG_NAMES = ("uniserial", "bound_attained", "ll_three", "spike_vector")
-
-
-def loewy_flags(vector, gap: int) -> dict[str, bool]:
-    """The flags of a Loewy vector whose length falls `gap` short of the
-    bound."""
-    tail = vector[2:].count(1)
-    return {
-        "uniserial": vector[:2].count(1) + tail == len(vector),
-        "bound_attained": gap == 0,
-        "ll_three": len(vector) == 3,
-        "spike_vector": (len(vector) > 3 and vector[0] == 1
-                         and tail == len(vector) - 2),
-    }
+        return self.loewy_profile().flags
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +392,7 @@ def loewy_profiles(algs) -> list[LoewyProfile]:
     them keeps its views of those flat arrays.  Every layer starts at the
     per-index bound deg[k] // m; `_certified` marks the cells where the
     bound is attained, and `_level_dp` fills in the others when there are
-    any.  The profiles and least degrees m are cached."""
+    any.  The profiles are cached."""
     todo = [alg for alg in algs if alg._profile is None]
     if todo:
         # arrays of an earlier read go first, so that no two copies are alive
@@ -433,8 +412,8 @@ def loewy_profiles(algs) -> list[LoewyProfile]:
         if not cert.all():
             _level_dp(deg, lam, orbit, cert, offsets)
         del cert, orbit
-        for alg, m, profile in zip(todo, ms, _profiles(lam, offsets, todo)):
-            alg._m, alg._profile = m, profile
+        for alg, profile in zip(todo, _profiles(lam, offsets, ms, todo)):
+            alg._profile = profile
     return [alg._profile for alg in algs]
 
 
@@ -578,10 +557,10 @@ def _best_splits(deg, lam, irr, mins, starts, budget: int) -> np.ndarray:
     return best
 
 
-def _profiles(lam: np.ndarray, offsets, algs) -> list[LoewyProfile]:
-    """The profiles of the rows laid end to end in lam, from one bincount
-    of (row, layer) pairs read into one list.  Index 0 holds layer 0,
-    which no Loewy vector counts."""
+def _profiles(lam: np.ndarray, offsets, ms, algs) -> list[LoewyProfile]:
+    """The profiles of the rows laid end to end in lam, of least degrees
+    ms, from one bincount of (row, layer) pairs read into one list.  Index
+    0 holds layer 0, which no Loewy vector counts."""
     rows = len(algs)
     sizes = np.diff(offsets).tolist()
     peaks = np.maximum.reduceat(lam, offsets[:-1]).tolist()
@@ -598,7 +577,11 @@ def _profiles(lam: np.ndarray, offsets, algs) -> list[LoewyProfile]:
         vector = (1, *counts[r][1:top + 1])
         if sum(vector) != alg.z + 1:
             raise AssertionError(f"Loewy vector does not sum to the dimension ({alg})")
-        out.append(LoewyProfile(lam[offsets[r]:offsets[r + 1]], vector, top + 1))
+        bound = alg.n * (alg.q - 1) // ms[r] + 1
+        if top >= bound:
+            raise AssertionError(f"Loewy length exceeded its upper bound ({alg})")
+        out.append(LoewyProfile(lam[offsets[r]:offsets[r + 1]], vector, top + 1,
+                                ms[r], bound))
     return out
 
 

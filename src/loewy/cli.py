@@ -8,6 +8,7 @@ Every run prints a parameter echo line first; all numeric output is exact.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -81,15 +82,15 @@ def cmd_mtable(args) -> int:
 
 
 def _algebra_payload(alg: Algebra) -> dict:
-    report = alg.bound_report()
+    profile = alg.loewy_profile()
     return {
         "q": alg.q, "n": alg.n, "z": alg.z,
         "e": format_decimal(alg.e()),
-        "m": report.m,
-        "ll": report.ll,
-        "bound": report.bound,
-        "gap": report.gap,
-        "loewy_vector": list(alg.loewy_vector()),
+        "m": profile.m,
+        "ll": profile.ll,
+        "bound": profile.bound,
+        "gap": profile.gap,
+        "loewy_vector": list(profile.loewy_vector),
         "flags": alg.flags(),
     }
 
@@ -257,10 +258,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser for every call: each would be a graph of some 400 containers
+# that only a full garbage collection frees
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         _echo(args, args.echo)
         return args.func(args)
     except DomainError as exc:

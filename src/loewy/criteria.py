@@ -24,10 +24,8 @@ from .arith import (
     prime_power_base,
     resolve_z,
 )
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 from .mfunc import BFS_CAPACITY, m_value, m_via_z
-
-_Z_RESIDUE_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -75,13 +73,9 @@ def resolve_parameters(q: int, n: int, *, e: int | None = None,
                        z: int | None = None) -> Parameters:
     z = resolve_z(q, n, e=e, z=z)
     e = (full_power(q, n) - 1) // z
-    if z <= _Z_RESIDUE_CAP and z < e:
-        m = m_via_z(q, n, z).m
-    elif e <= BFS_CAPACITY:
-        m = m_value(q, e).m
-    else:
-        raise CapacityError(f"z > {_Z_RESIDUE_CAP} and e > {BFS_CAPACITY}: "
-                            "beyond the capacity of both methods for m")
+    # the residue method when z < e and when e is beyond the BFS; each
+    # method refuses what lies beyond its own capacity
+    m = (m_via_z(q, n, z) if z < e or e > BFS_CAPACITY else m_value(q, e)).m
     nu = order_dividing(q, e, n)
     bound = n * (q - 1) // m + 1
     return Parameters(q=q, n=n, e=e, z=z, m=m, nu=nu, bound=bound)

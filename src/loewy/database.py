@@ -5,10 +5,10 @@ aggregate statistics.
 Records are emitted in a deterministic order (z ascending, then subgroup
 order, then representative), scans are resumable by extending a prefix, and
 rescans of the same range are byte-identical.  A record is built once from
-the profile and least degree its batch's `loewy_profiles` call left on the
-algebra, and writes its JSON line and CSV row each with one f-string, the
-JSON byte for byte what json.dumps gives; the loader refuses a field of any
-type or form that the f-string would write otherwise.
+the profile its batch's `loewy_profiles` call left on the algebra, and
+writes its JSON line and CSV row each with one f-string, the JSON byte for
+byte what json.dumps gives; the loader refuses a field of any type or form
+that the f-string would write otherwise.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import chain, product
 from operator import itemgetter
 
-from .algebra import FLAG_NAMES, Algebra, loewy_flags, loewy_profiles, same_table
+from .algebra import FLAG_NAMES, Algebra, loewy_profiles, same_table
 # mult_order is no longer called here, but perfbench/test_perfbench.py
 # reads it as loewy.database.mult_order
 from .arith import cyclic_subgroups, format_decimal, mult_order  # noqa: F401
@@ -192,13 +192,13 @@ def key_algebra(key: EquivKey) -> Algebra:
 
 
 def _record(key: EquivKey, alg: Algebra, e_decimal: str) -> DbRecord:
-    """The record of a key from its algebra's bound report and profile,
-    which `loewy_profiles` filled, and e's decimal text; runtime_ms stays
-    0, so that rescans are byte-identical."""
-    report, vector = alg.bound_report(), alg.loewy_vector()
-    return DbRecord(key, alg.n, e_decimal, report.m, report.ll,
-                    report.bound, report.gap, vector,
-                    loewy_flags(vector, report.gap), 0,
+    """The record of a key from its algebra's profile, which
+    `loewy_profiles` filled, and e's decimal text; runtime_ms stays 0, so
+    that rescans are byte-identical."""
+    profile = alg.loewy_profile()
+    vector = profile.loewy_vector
+    return DbRecord(key, alg.n, e_decimal, profile.m, profile.ll,
+                    profile.bound, profile.gap, vector, profile.flags, 0,
                     ",".join(map(str, vector)))
 
 

@@ -141,7 +141,7 @@ def test_criterion_04_closed_form_sweep():
 def test_criterion_05_z70_profile():
     t0 = time.time()
     alg = Algebra(3, 12, 70)
-    rep = alg.bound_report()
+    rep = alg.loewy_profile()
     assert (rep.m, rep.ll, rep.bound) == (8, 3, 4)
     rows = {r.k: r for r in alg.orbit_report()}
     expected_exact = {
@@ -237,7 +237,7 @@ def test_criterion_09_e33_slow_suite():
 
 def test_criterion_10_z5551():
     t0 = time.time()
-    rep = Algebra(9, 15, 5551).bound_report()
+    rep = Algebra(9, 15, 5551).loewy_profile()
     assert (rep.m, rep.ll, rep.bound, rep.gap) == (24, 4, 6, 2)
     report(10, t0, "A[9,15,5551]: m=24, LL=4, bound=6")
 

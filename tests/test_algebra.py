@@ -125,23 +125,34 @@ class TestLoewyProfiles:
         alg = Algebra(3, 12, 70)
         assert alg.loewy_length() == 3
         assert alg.m() == 8
-        assert alg.upper_bound() == 4
-        report = alg.bound_report()
-        assert (report.ll, report.bound, report.gap, report.m) == (3, 4, 1, 8)
+        profile = alg.loewy_profile()
+        assert (profile.ll, profile.bound, profile.gap, profile.m) == (3, 4, 1, 8)
 
     def test_one_report_per_algebra(self, monkeypatch):
-        # a record reads m and the report once, however often it asks
+        # a record reads m, the bound and the flags off the one profile,
+        # however often it asks
         alg = Algebra(3, 12, 70)
-        report = alg.bound_report()
-        monkeypatch.setattr(alg, "loewy_length", unreachable)
+        profile = alg.loewy_profile()
+        monkeypatch.setattr(algebra, "loewy_profiles", unreachable)
         monkeypatch.setattr(alg, "degrees", None)
-        assert alg.bound_report() is report and alg.m() == 8
-        assert alg.flags()["bound_attained"] is False
+        assert alg.loewy_profile() is profile and profile.m == 8
+        assert alg.flags() == profile.flags
+        assert profile.flags["bound_attained"] is False
+
+    def test_every_profile_checks_its_bound(self):
+        # rows of A(3, 4, 40) and A(3, 12, 70) end to end; with m = 24 the
+        # second row's bound 12 * 2 // 24 + 1 = 2 falls below its LL = 3
+        algs = [Algebra(3, 4, 40), Algebra(3, 12, 70)]
+        lam = np.concatenate([p.lam for p in loewy_profiles(algs)])
+        assert_same_profiles(algebra._profiles(lam, [0, 41, 112], [2, 8], algs),
+                             [alg.loewy_profile() for alg in algs])
+        with pytest.raises(AssertionError, match="exceeded its upper bound"):
+            algebra._profiles(lam, [0, 41, 112], [2, 24], algs)
 
     def test_gap_two(self):
         alg = Algebra(9, 15, 5551)
-        report = alg.bound_report()
-        assert (report.m, report.ll, report.bound, report.gap) == (24, 4, 6, 2)
+        profile = alg.loewy_profile()
+        assert (profile.m, profile.ll, profile.bound, profile.gap) == (24, 4, 6, 2)
 
     def test_uniserial(self):
         alg = Algebra(6, 2, 5)  # q = 1 mod z
@@ -344,8 +355,8 @@ def assert_same_profiles(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.lam.dtype == b.lam.dtype and np.array_equal(a.lam, b.lam)
-        assert (a.loewy_vector, a.ll, a.irreducibles) == (b.loewy_vector, b.ll,
-                                                         b.irreducibles)
+        assert (a.loewy_vector, a.ll, a.m, a.bound, a.irreducibles) == (
+            b.loewy_vector, b.ll, b.m, b.bound, b.irreducibles)
 
 
 def key_params(zs):

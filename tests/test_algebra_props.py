@@ -27,7 +27,7 @@ def check_bounds(alg):
     """Inequalities that hold for every algebra: the upper bound, the
     improved lower bound when m does not divide q-1, and the closure window
     in which the two coincide."""
-    report = alg.bound_report()
+    report = alg.loewy_profile()
     assert report.gap >= 0
     q, n, m = alg.q, alg.n, report.m
     nu = alg.ord_e()

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -108,6 +109,21 @@ class TestCapacity:
                                 "--z", "4294967295"], capsys)
         assert code == 2
         assert err.startswith("capacity error:") and "Traceback" not in err
+
+    def test_m_bfs_over_budget(self, capsys, monkeypatch):
+        # e = 2^31 - 1: its int32 layer array alone would take 8 GiB, and
+        # the powers of 3 modulo e number 715 827 882
+        monkeypatch.setattr(mfunc.np, "zeros", self._unreachable)
+        monkeypatch.setattr(mfunc, "cyclic_powers", self._unreachable)
+        assert 2**31 - 1 > mfunc.BFS_CAPACITY
+        for q in ("2", "3"):
+            code, out, err = run_cli(["m", "--q", q, "--e", str(2**31 - 1)], capsys)
+            assert code == 2 and out.splitlines()[1:] == []
+            assert err.startswith("capacity error:") and err.count("\n") == 1
+        # with n, m falls back to the residue method at z = 1
+        code, out, _ = run_cli(["m", "--q", "2", "--n", "31", "--e", str(2**31 - 1)],
+                               capsys)
+        assert code == 0 and out.splitlines()[1:] == ["m = 31"]
 
     def test_m_witness_over_budget(self, capsys, monkeypatch):
         # m = 2^61 is printed; its witness would hold 2^61 exponents
@@ -480,6 +496,22 @@ class TestParsing:
     def test_nondecimal_e(self, capsys):
         code, _, err = run_cli(["m", "--q", "5", "--e", "0x21"], capsys)
         assert code == 1
+
+    def test_one_parser_for_every_call(self, capsys, monkeypatch):
+        # a parser built per call would be garbage that only a full
+        # collection frees
+        run_cli(["m", "--q", "5", "--e", "33"], capsys)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", unreachable)
+        for args, code in ((["m", "--q", "5", "--e", "33"], 0),
+                           (["algebra", "--q", "3", "--n", "4", "--z", "40"], 0),
+                           (["m", "--q", "5", "--e", "33", "--frobnicate"], 1),
+                           (["m", "--e", "33"], 1),
+                           ([], 1)):
+            assert run_cli(args, capsys)[0] == code, args
 
 
 class TestHelpGolden:

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from loewy import criteria, mfunc
 from loewy.algebra import Algebra
 from loewy.arith import mult_order
 from loewy.criteria import (
@@ -13,15 +14,20 @@ from loewy.criteria import (
     resolve_parameters,
 )
 from loewy.database import subgroup_representatives
-from loewy.errors import DomainError
+from loewy.errors import CapacityError, DomainError
+from loewy.mfunc import BFS_CAPACITY, INDEX_CAPACITY, MResult
+
+
+def unreachable(*args):
+    raise AssertionError("reached a method for m that should not run")
 
 
 def verdicts_consistent_with(alg, verdicts, params):
-    report = alg.bound_report()
+    profile = alg.loewy_profile()
     for v in verdicts:
-        assert params.implied_ll(v) == report.ll, (alg, v)
+        assert params.implied_ll(v) == profile.ll, (alg, v)
         if v.kind == "bound_attained":
-            assert report.gap == 0, (alg, v)
+            assert profile.gap == 0, (alg, v)
         if v.kind == "uniserial":
             assert all(c == 1 for c in alg.loewy_vector())
 
@@ -42,6 +48,29 @@ class TestResolveParameters:
             resolve_parameters(3, 12, e=11)  # ord_11(3) = 5 does not divide 12
         with pytest.raises(DomainError):
             resolve_parameters(3, 12)
+
+    def test_residue_method_up_to_index_capacity(self, monkeypatch):
+        # z = 2^24 - 1 < INDEX_CAPACITY; e = 2^48 + 2^24 + 1 is beyond the
+        # BFS.  The real m_via_z gives m = 3 in about 3 s and 540 MB (2 vCPUs).
+        calls = []
+
+        def m_via_z(q, n, z):
+            calls.append((q, n, z))
+            return MResult(m=3, method="residue")
+
+        monkeypatch.setattr(criteria, "m_via_z", m_via_z)
+        monkeypatch.setattr(criteria, "m_value", unreachable)
+        assert [v.rule_id for v in evaluate_criteria(2, 72, z=2**24 - 1)] == ["R10", "R11"]
+        assert calls == [(2, 72, 2**24 - 1)]
+
+    def test_beyond_both_methods(self, monkeypatch):
+        # z = 2^32 + 1 > INDEX_CAPACITY and e = 2^32 - 1 beyond the BFS: the
+        # residue method refuses before its kernel runs
+        monkeypatch.setattr(mfunc, "degrees_and_orbit_min", unreachable)
+        monkeypatch.setattr(criteria, "m_value", unreachable)
+        assert 2**32 + 1 > INDEX_CAPACITY and 2**32 - 1 > BFS_CAPACITY
+        with pytest.raises(CapacityError, match=f"z exceeds {INDEX_CAPACITY}"):
+            resolve_parameters(2, 64, z=2**32 + 1)
 
 
 class TestSoundness:

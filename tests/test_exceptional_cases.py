@@ -16,14 +16,14 @@ def test_smallest_dimension_with_longer_length_gap():
 
 
 def test_gap_with_minimal_variable_count():
-    rep = Algebra(223, 5, 1353).bound_report()
+    rep = Algebra(223, 5, 1353).loewy_profile()
     assert rep.gap == 1
     assert (rep.ll, rep.bound, rep.m) == (7, 8, 148)
 
 
 def test_gap_with_prime_modulus():
     alg = Algebra(3, 43, 862)
-    rep = alg.bound_report()
+    rep = alg.loewy_profile()
     assert (rep.ll, rep.bound, rep.gap, rep.m) == (3, 4, 1, 26)
     e = alg.e()
     assert e == 380808546861411923
