@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,6 +85,12 @@ INDEX_CAPACITY = INDEX_CAPACITY_BYTES // _BYTES_PER_INDEX - 1
 # bits unpacked.  tracemalloc measured 68.1 to 68.5 at e = 10^4 to 2*10^5.
 _BYTES_PER_RESIDUE = 72
 BFS_CAPACITY = INDEX_CAPACITY_BYTES // _BYTES_PER_RESIDUE
+# The grid CSV's bytes per cell, counting the header row and the q column:
+# the (q, e) keys and values of the grid, the rows' strings and the joined
+# text.  tracemalloc measured 65.6 to 170.8, the most for 20-digit q and no
+# e column, where each row is one q cell.
+_BYTES_PER_CELL = 176
+GRID_CAPACITY = INDEX_CAPACITY_BYTES // _BYTES_PER_CELL
 
 
 @dataclass(frozen=True)
@@ -334,35 +341,86 @@ def m_value(q: int, e: int) -> MResult:
 # ---------------------------------------------------------------------------
 # Closed forms.  Rules run in a fixed order, most specific first; every rule
 # whose hypothesis holds is computed and all firing rules must agree -- a
-# disagreement is an implementation bug, never resolved silently.
+# disagreement is an implementation bug, never resolved silently.  The rules
+# are checks on one set of facts about (q, e), computed once per query and
+# kept by none.
 # ---------------------------------------------------------------------------
 
+class ClosedFormFacts(NamedTuple):
+    """The number theory the closed forms share for one query (q, e).
+
+    base is (p, k) with e = p^k, and half_base is (p, k) with e = 2p^k for
+    an odd prime p; either is None otherwise, and also beyond 2^64, where
+    the primality test is not deterministic, so that the rules that need
+    it decline.  order = ord_e(q) and phi = phi(e) are there only when a
+    rule reads them: order when e or e/2 is an odd prime power, phi when e
+    is one.  Nothing keeps the facts past the query.
+    """
+
+    q: int
+    e: int
+    base: tuple[int, int] | None
+    half_base: tuple[int, int] | None
+    order: int | None
+    phi: int | None
+
+
 def _prime_power_or_none(n):
-    # A rule whose hypothesis cannot be certified (primality undecidable
-    # beyond 64 bits) simply declines.
     if not 2 <= n < 1 << 64:
         return None
     return prime_power_base(n)
 
 
-def _cf_trivial(q, e):
-    if e == 1:
+def closed_form_facts(q: int, e: int) -> ClosedFormFacts:
+    """The facts of (q, e) from one prime-power test and at most one order.
+    When e = 2 mod 4, e is a prime power only at e = 2 and e/2 is odd, so
+    e/2 is tested then and e in every other case."""
+    if e % 4 == 2:
+        base = (2, 1) if e == 2 else None
+        half_base = _prime_power_or_none(e // 2)
+    else:
+        base = _prime_power_or_none(e)
+        half_base = None
+    order = phi = None
+    if base is not None and base[0] != 2:
+        p, k = base
+        phi = p ** (k - 1) * (p - 1)
+        order = mult_order(q % e, e)
+    elif half_base is not None:
+        order = mult_order(q % e, e)
+    return ClosedFormFacts(q, e, base, half_base, order, phi)
+
+
+def _odd_base(f):
+    """(p, k) when e = p^k for an odd prime p, else None."""
+    return f.base if f.base is not None and f.base[0] != 2 else None
+
+
+def _strip(order, p):
+    """order with every factor p removed."""
+    while order % p == 0:
+        order //= p
+    return order
+
+
+def _cf_trivial(f):
+    if f.e == 1:
         return 1
-    if q % e == 1:
-        return e
+    if f.q % f.e == 1:
+        return f.e
     return None
 
 
-def _cf_q_congruent_minus_one(q, e):
+def _cf_q_congruent_minus_one(f):
     # q = -1 but not 1 modulo e forces m = 2 via e | q + 1.
-    if e > 2 and (q + 1) % e == 0:
+    if f.e > 2 and (f.q + 1) % f.e == 0:
         return 2
     return None
 
 
-def _cf_two_power(q, e):
-    pp = _prime_power_or_none(e)
-    if pp is None or pp[0] != 2 or pp[1] < 3 or q % 2 == 0:
+def _cf_two_power(f):
+    q, e = f.q, f.e
+    if f.base is None or f.base[0] != 2 or f.base[1] < 3 or q % 2 == 0:
         return None
     if q % 4 == 1:
         return gcd(e, q - 1)
@@ -371,76 +429,57 @@ def _cf_two_power(q, e):
     return 4
 
 
-def _cf_eleven_power(q, e):
-    pp = _prime_power_or_none(e)
-    if pp is None or pp[0] != 11:
+def _cf_eleven_power(f):
+    if f.base is None or f.base[0] != 11:
         return None
-    k = pp[1]
-    order = mult_order(q % e, e)
-    if order % 2 == 0:
+    if f.order % 2 == 0:
         return 2
-    reduced = order
-    while reduced % 11 == 0:
-        reduced //= 11
-    if reduced == 1:
-        return gcd(e, q - 1)
-    if order == 5 * 11 ** (k - 1):
+    if _strip(f.order, 11) == 1:
+        return gcd(f.e, f.q - 1)
+    if f.order == 5 * 11 ** (f.base[1] - 1):
         return 3
     return 5
 
 
-def _cf_pierpont_power(q, e):
-    pp = _prime_power_or_none(e)
-    if pp is None or pp[0] == 2 or not is_pierpont_prime(pp[0]):
+def _cf_pierpont_power(f):
+    pp = _odd_base(f)
+    if pp is None or not is_pierpont_prime(pp[0]):
         return None
-    p = pp[0]
-    order = mult_order(q % e, e)
-    reduced = order
-    while reduced % p == 0:
-        reduced //= p
-    if reduced == 1:
-        return gcd(e, q - 1)
-    if order % 2 == 0:
+    if _strip(f.order, pp[0]) == 1:
+        return gcd(f.e, f.q - 1)
+    if f.order % 2 == 0:
         return 2
     return 3
 
 
-def _cf_odd_prime_power_unipotent(q, e):
-    pp = _prime_power_or_none(e)
-    if pp is None or pp[0] == 2:
-        return None
-    if q % pp[0] == 1:
-        return gcd(e, q - 1)
+def _cf_odd_prime_power_unipotent(f):
+    pp = _odd_base(f)
+    if pp is not None and f.q % pp[0] == 1:
+        return gcd(f.e, f.q - 1)
     return None
 
 
-def _cf_hensel_lift(q, e):
+def _cf_hensel_lift(f):
     # Odd prime power e = p^k, k >= 2, with ord_e(q) = phi(e)/d for a
     # divisor d of p-1: m is unchanged when e is replaced by p.
-    pp = _prime_power_or_none(e)
-    if pp is None or pp[0] == 2 or pp[1] < 2:
+    pp = _odd_base(f)
+    if pp is None or pp[1] < 2 or f.phi % f.order:
         return None
     p = pp[0]
-    order = mult_order(q % e, e)
-    phi = euler_phi(e)
-    if phi % order:
+    if (p - 1) % (f.phi // f.order):
         return None
-    d = phi // order
-    if (p - 1) % d:
-        return None
-    return m_bfs(q % p, p).m
+    return m_bfs(f.q % p, p).m
 
 
-def _cf_squares_odd_prime_power(q, e):
-    pp = _prime_power_or_none(e)
-    if pp is None or pp[0] == 2:
-        return None
-    if mult_order(q % e, e) * 2 != euler_phi(e):
+def _cf_squares_odd_prime_power(f):
+    pp = _odd_base(f)
+    if pp is None or f.order * 2 != f.phi:
         return None
     return 2 if pp[0] % 4 == 1 else 3
 
 
-def _cf_order_two(q, e):
+def _cf_order_two(f):
+    q, e = f.q, f.e
     if (q * q - 1) % e:
         return None
     e1 = gcd(e, q - 1)
@@ -450,19 +489,10 @@ def _cf_order_two(q, e):
     return 2 * e1
 
 
-def _cf_twice_odd_prime_power(q, e):
-    if e % 2 or e == 2:
+def _cf_twice_odd_prime_power(f):
+    if f.half_base is None or _strip(f.order, f.half_base[0]) != 1:
         return None
-    pp = _prime_power_or_none(e // 2)
-    if pp is None or pp[0] == 2:
-        return None
-    p = pp[0]
-    order = mult_order(q % e, e)
-    while order % p == 0:
-        order //= p
-    if order == 1:
-        return gcd(e, q - 1)
-    return None
+    return gcd(f.e, f.q - 1)
 
 
 _CLOSED_FORM_RULES = (
@@ -483,9 +513,10 @@ def m_closed_form(q: int, e: int) -> MResult | None:
     """First applicable closed form, with an agreement assertion across all
     rules that fire."""
     _require_coprime(q, e)
+    facts = closed_form_facts(q, e)
     hits = []
     for rule_id, rule in _CLOSED_FORM_RULES:
-        value = rule(q, e)
+        value = rule(facts)
         if value is not None:
             hits.append((rule_id, value))
     if not hits:
@@ -653,8 +684,20 @@ def _m_achievable(e: int, n: int, m: int) -> bool:
 # Tables.
 # ---------------------------------------------------------------------------
 
+def _require_grid_capacity(q_range, e_range) -> None:
+    # len() of a range costs nothing, so a huge span is refused before any
+    # list is built; the count is not printed, it can be of any size.
+    if (len(q_range) + 1) * (len(e_range) + 1) > GRID_CAPACITY:
+        raise CapacityError(
+            f"the grid has more than {GRID_CAPACITY} cells, the most whose "
+            f"{_BYTES_PER_CELL} bytes each fit {INDEX_CAPACITY_BYTES} bytes"
+        )
+
+
 def m_grid(q_range, e_range) -> dict[tuple[int, int], int]:
-    """m(q, e) over a rectangle, only where gcd(q, e) = 1."""
+    """m(q, e) over a rectangle of two ranges (or lists), only where
+    gcd(q, e) = 1."""
+    _require_grid_capacity(q_range, e_range)
     q_range, e_range = list(q_range), list(e_range)
     _require_positive("q", min(q_range, default=1))
     _require_positive("e", min(e_range, default=1))
@@ -669,8 +712,8 @@ def m_grid(q_range, e_range) -> dict[tuple[int, int], int]:
 def render_m_grid_csv(q_range, e_range) -> str:
     """Grid as CSV: header row of e values, one row per q, empty cell when
     gcd(q, e) != 1."""
-    q_range = list(q_range)
-    e_range = list(e_range)
+    _require_grid_capacity(q_range, e_range)
+    q_range, e_range = list(q_range), list(e_range)
     grid = m_grid(q_range, e_range)
     lines = ["q," + ",".join(str(e) for e in e_range)]
     for q in q_range:
@@ -719,6 +762,10 @@ def render_m_groups(e_range, *, by: str = "residues") -> str:
     if by not in ("residues", "generators"):
         raise DomainError(f"unknown grouping {by!r}")
     fn = m_groups_by_residue if by == "residues" else m_groups_by_generator
+    # Refuse before the first row: the check stops at the first e out of
+    # range, after at most GROUPS_CAPACITY steps however long the range.
+    for e in e_range:
+        _require_groups_capacity(e)
     lines = []
     for e in e_range:
         groups = fn(e)

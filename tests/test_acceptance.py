@@ -108,7 +108,7 @@ def _spectrum_by_residue(e):
 
 def test_criterion_04_closed_form_sweep():
     t0 = time.time()
-    from loewy.mfunc import _CLOSED_FORM_RULES
+    from loewy.mfunc import _CLOSED_FORM_RULES, closed_form_facts
 
     moduli = list(range(1, 301))
     moduli += [2**k for k in range(9, 13)]  # up to 4096
@@ -123,8 +123,9 @@ def test_criterion_04_closed_form_sweep():
             for q in test_qs:
                 if q < 2:
                     continue
+                facts = closed_form_facts(q, e)
                 for rule_id, rule in _CLOSED_FORM_RULES:
-                    value = rule(q, e)
+                    value = rule(facts)
                     if value is not None:
                         per_rule[rule_id] += 1
                         assert value == m, (q, e, rule_id, value)

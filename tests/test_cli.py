@@ -275,6 +275,11 @@ NO_TRACEBACK = [
     ("mtable", ["--emin", str(2**31 + 1), "--emax", str(2**31 + 1),
                 "--mode", "generators"], 2),
     ("mtable", ["--emin", str(2**32), "--emax", str(2**32), "--mode", "residues"], 2),
+    # ... and before the first row, when only the top of the range is beyond
+    ("mtable", ["--emin", "2", "--emax", str(2**16 + 1), "--mode", "residues"], 2),
+    ("mtable", ["--emin", "2", "--emax", str(2**16 + 1), "--mode", "generators"], 2),
+    # a grid beyond GRID_CAPACITY cells is refused before any list is built
+    ("mtable", ["--qmin", "2", "--qmax", "10000000000", "--emin", "2", "--emax", "3"], 2),
     # a file that cannot be read is a domain error
     ("stats", ["--in", "no/such/scan.jsonl"], 1),
 ]

@@ -1,14 +1,17 @@
 import time
+import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from math import gcd
 
 import pytest
 
 from conftest import m_digit_scan, m_groups_per_unit
-from loewy import mfunc
+from loewy import arith, mfunc
 from loewy.arith import cyclic_powers
 from loewy.errors import CapacityError, DomainError
 from loewy.mfunc import (
+    GRID_CAPACITY,
     INDEX_CAPACITY,
     WITNESS_CAPACITY,
     LargeMCase,
@@ -246,6 +249,42 @@ class TestClosedForm:
         # nor covered by any congruence rule
         assert m_closed_form(2, 43) is None
 
+    def test_work_per_query(self, monkeypatch):
+        # Over the mtable grid a query tests e and e/2 for a prime power at
+        # most once each, and computes at most one order and one phi, the
+        # phi inside mult_order included.  A second call does the same work:
+        # nothing is kept from one query to the next.
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append((name, args))
+                return fn(*args)
+            return wrapper
+
+        phi = counted("phi", arith.euler_phi)
+        monkeypatch.setattr(mfunc, "prime_power_base", counted("base", arith.prime_power_base))
+        monkeypatch.setattr(mfunc, "mult_order", counted("order", arith.mult_order))
+        monkeypatch.setattr(mfunc, "euler_phi", phi)
+        monkeypatch.setattr(arith, "euler_phi", phi)
+        totals = Counter()
+        for q in range(2, 31):
+            for e in range(2, 201):
+                if gcd(q, e) != 1:
+                    continue
+                work = []
+                for _ in range(2):
+                    calls.clear()
+                    m_closed_form(q, e)
+                    work.append(list(calls))
+                assert work[0] == work[1], (q, e)
+                tested = Counter(args[0] for name, args in work[0] if name == "base")
+                assert set(tested) <= {e, e // 2} and max(tested.values(), default=0) <= 1
+                names = Counter(name for name, _ in work[0])
+                assert names["order"] <= 1 and names["phi"] <= 1, (q, e, names)
+                totals.update(names)
+        assert totals["base"] and totals["order"] and totals["phi"], totals
+
     def test_dispatch(self):
         assert m_value(2, 43).method == "bfs"
         assert m_value(2, 43).m == 2
@@ -323,6 +362,33 @@ class TestTables:
         assert lines[0] == "q,2,3,4,5,6,7"
         assert lines[1] == "2,,2,,2,,3"
         assert lines[2] == "3,2,,2,2,,2"
+
+    def test_grid_capacity(self):
+        with pytest.raises(CapacityError, match="cells"):
+            render_m_grid_csv(range(2, 10**10 + 1), range(2, 4))
+        with pytest.raises(CapacityError, match="cells"):
+            mfunc.m_grid(range(2, 4), range(2, GRID_CAPACITY))
+
+    @pytest.mark.parametrize("q_range,e_range", [
+        (range(2**64 - 20000, 2**64), range(3, 3)),  # one q cell per row
+        (range(2**64 - 20000, 2**64), range(3, 4)),
+        (range(2, 5002), range(2, 6)),
+    ])
+    def test_peak_memory_per_cell(self, q_range, e_range):
+        tracemalloc.start()
+        try:
+            render_m_grid_csv(q_range, e_range)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / ((len(q_range) + 1) * (len(e_range) + 1)) <= mfunc._BYTES_PER_CELL
+
+    def test_groups_refused_before_the_first_row(self, monkeypatch):
+        def unreachable(e):
+            raise AssertionError(f"row e={e} computed")
+        monkeypatch.setattr(mfunc, "m_groups_by_residue", unreachable)
+        with pytest.raises(CapacityError):
+            render_m_groups(range(2, mfunc.GROUPS_CAPACITY + 2))
 
     def test_groups_by_residue(self):
         groups = m_groups_by_residue(31)
