@@ -712,8 +712,6 @@ def m_grid(q_range, e_range) -> dict[tuple[int, int], int]:
 def render_m_grid_csv(q_range, e_range) -> str:
     """Grid as CSV: header row of e values, one row per q, empty cell when
     gcd(q, e) != 1."""
-    _require_grid_capacity(q_range, e_range)
-    q_range, e_range = list(q_range), list(e_range)
     grid = m_grid(q_range, e_range)
     lines = ["q," + ",".join(str(e) for e in e_range)]
     for q in q_range:
