@@ -678,28 +678,34 @@ def concat_witness(w1: Witness, w2: Witness) -> Witness:
 # Structure-table comparison.
 # ---------------------------------------------------------------------------
 
-def validity_table(alg: Algebra) -> np.ndarray:
-    """Boolean matrix over 1 <= k, l <= z-1: True where b_k * b_l != 0.
-    The index of a nonzero product is always k + l, so two algebras with
-    the same z have equal multiplication tables iff these matrices agree.
-    Tables above VALIDITY_CAPACITY_BYTES are refused before allocation."""
-    z, deg = alg.z, alg.degrees
+def degree_test_rows(alg: Algebra):
+    """The rows k = 1..z-1 of `validity_table`, one at a time, each over
+    l = 1..z-k; a table above VALIDITY_CAPACITY_BYTES is refused first."""
+    z = alg.z
     if (z - 1) ** 2 > VALIDITY_CAPACITY_BYTES:
         raise CapacityError(
             f"the validity table of z={z} needs {(z - 1) ** 2} bytes, over the "
             f"capacity of {VALIDITY_CAPACITY_BYTES} bytes"
         )
-    valid = np.zeros((z - 1, z - 1), dtype=bool)
-    for k in range(1, z):  # row k - 1 holds l = 1..z-k, the l with k + l <= z
-        valid[k - 1, :z - k] = deg[k] + deg[1:z - k + 1] == deg[k + 1:]
+    deg = alg.degrees
+    return (deg[k] + deg[1:z - k + 1] == deg[k + 1:] for k in range(1, z))
+
+
+def validity_table(alg: Algebra) -> np.ndarray:
+    """Boolean matrix over 1 <= k, l <= z-1: True where b_k * b_l != 0.
+    The index of a nonzero product is always k + l, so two algebras with
+    the same z have equal multiplication tables iff these matrices agree.
+    Tables above VALIDITY_CAPACITY_BYTES are refused before allocation."""
+    rows = degree_test_rows(alg)
+    valid = np.zeros((alg.z - 1, alg.z - 1), dtype=bool)
+    for k, row in enumerate(rows, start=1):  # l = 1..z-k, the l with k + l <= z
+        valid[k - 1, :alg.z - k] = row
     return valid
 
 
 def same_table(a: Algebra, b: Algebra) -> bool:
-    """True iff the two algebras have identical basis multiplication tables
-    (requires equal z)."""
+    """True iff the two algebras (of equal z) have identical multiplication
+    tables, compared row by row up to the first row that differs."""
     if a.z != b.z:
         raise DomainError(f"dimensions differ: {a.z + 1} vs {b.z + 1}")
-    if a.z <= 2:
-        return True
-    return bool(np.array_equal(validity_table(a), validity_table(b)))
+    return all(map(np.array_equal, degree_test_rows(a), degree_test_rows(b)))

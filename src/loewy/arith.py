@@ -170,16 +170,10 @@ def mult_order(a: int, modulus: int) -> int:
     """Order of a in (Z/modulus)^x; modulus = 1 gives 1."""
     if modulus < 1:
         raise DomainError(f"modulus must be >= 1, got {modulus}")
-    if modulus == 1:
-        return 1
     a %= modulus
     if gcd(a, modulus) != 1:
         raise DomainError(f"{a} is not a unit modulo {modulus}")
-    order = euler_phi(modulus)
-    for p in factorize(order):
-        while order % p == 0 and pow(a, order // p, modulus) == 1:
-            order //= p
-    return order
+    return order_dividing(a, modulus, euler_phi(modulus))
 
 
 def cyclic_powers(a: int, modulus: int) -> list[int]:

@@ -363,7 +363,7 @@ def reduction_targets(q: int, e: int) -> ReductionTargets:
     if gcd(q, e) != 1:
         raise DomainError(f"q={q} and e={e} must be coprime")
     m = m_value(q, e).m
-    order = mult_order(q % e, e) if e > 1 else 1
+    order = mult_order(q % e, e)
     d = gcd(m, (q - 1) * order)
     return ReductionTargets(
         n_max=(m // d) * order,

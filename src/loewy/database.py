@@ -18,7 +18,7 @@ import os
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import chain, product
+from itertools import chain, islice, product
 from operator import itemgetter
 
 from .algebra import FLAG_NAMES, Algebra, loewy_profiles, same_table
@@ -208,11 +208,27 @@ def compute_record(key: EquivKey) -> DbRecord:
     return _record(key, alg, format_decimal(alg.e()))
 
 
-def scan_keys(z_min: int, z_max: int) -> list[EquivKey]:
+def scan_keys(z_min: int, z_max: int):
+    """The keys of [z_min, z_max] in scan order, made one z at a time."""
     if z_min < 1 or z_max < z_min:
         raise DomainError(f"invalid range [{z_min}, {z_max}]")
     require_index_capacity(z_max + 1, 1, z_max)
-    return [key for z in range(z_min, z_max + 1) for key in subgroup_representatives(z)]
+    return chain.from_iterable(map(subgroup_representatives, range(z_min, z_max + 1)))
+
+
+def _in_scan_order(numbered, keys, *, whole: bool = False):
+    """Pass the records of the (number, record) pairs through while each is
+    the next of keys; refuse the first one missing, repeated, foreign or
+    out of order, by number and key.  With whole, no key may be left."""
+    for number, rec in numbered:
+        expected = next(keys, None)
+        if rec.key != expected:
+            place = ("lies beyond the last key of the scan" if expected is None else
+                     f"stands where the key (z={expected.z}, q={expected.q_rep}) belongs")
+            raise DomainError(f"record {number} (z={rec.key.z}, q={rec.key.q_rep}) {place}")
+        yield rec
+    if whole and (missing := next(keys, None)) is not None:
+        raise DomainError(f"the records end before the key (z={missing.z}, q={missing.q_rep})")
 
 
 def compute_batch(keys) -> list:
@@ -256,22 +272,22 @@ def compute_records(keys, *, jobs: int = 1):
     A pool of worker processes computes the batches out of order, and the
     pool's mapper restores the order.  It has as many workers as the
     smallest of jobs, the CPUs this process may use and the batches, since
-    the pool starts all of them at once; with one, no pool starts."""
-    batches = list(_batches(keys))
+    the pool starts all of them at once: no more batches are looked at
+    first.  With one worker, no pool starts."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    workers = min(jobs, cpus, len(batches))
-    if workers <= 1:
-        for batch in batches:
-            yield from compute_batch(batch)
+    batches = _batches(keys)
+    head = list(islice(batches, max(1, min(jobs, cpus))))
+    batches = chain(head, batches)
+    if len(head) <= 1:
+        yield from chain.from_iterable(map(compute_batch, batches))
         return
     # imported here: the pool module costs every CLI process memory, and
     # only a pool uses it
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for records in pool.map(compute_batch, batches):
-            yield from records
+    with ProcessPoolExecutor(max_workers=len(head)) as pool:
+        yield from chain.from_iterable(pool.map(compute_batch, batches))
 
 
 def scan_records(z_min: int, z_max: int, *, jobs: int = 1):
@@ -279,44 +295,34 @@ def scan_records(z_min: int, z_max: int, *, jobs: int = 1):
     return compute_records(scan_keys(z_min, z_max), jobs=jobs)
 
 
-def _resume_point(out_path: str, keys: list[EquivKey], prefix=None) -> int:
-    """Number of records already in out_path, which must be a prefix of
-    keys; each record read is appended to prefix when one is given.  A
-    final line without a newline is a torn write: it is cut off and
-    recomputed."""
+def _resume_point(out_path: str, keys, prefix=None):
+    """The keys left after the records in out_path, the first of keys
+    (`_in_scan_order`), each appended to prefix when given.  A torn final
+    line is cut off; with no key left for it, it is refused instead."""
     try:
         handle = open(out_path, "rb+")
     except FileNotFoundError:
-        return 0
-    done = end = 0
-    with handle:
+        return keys
+    torn = []  # the number and offset of a torn final line
+
+    def lines():
         for number, line in enumerate(handle, start=1):
-            if done == len(keys):
-                raise DomainError(
-                    f"existing output holds records beyond this scan "
-                    f"(line {number}; the scan ends at z={keys[-1].z})"
-                )
             if not line.endswith(b"\n"):
-                handle.truncate(end)
-                break
-            rec = _parse_line(line, out_path, number)
-            if rec.key != keys[done]:
-                raise DomainError(
-                    f"existing output is not a prefix of this scan "
-                    f"(record {done}: z={rec.key.z} q={rec.key.q_rep})"
-                )
+                torn.extend((number, handle.tell() - len(line)))
+                return
+            yield number, _parse_line(line, out_path, number)
+
+    with handle:
+        for rec in _in_scan_order(lines(), keys):
             if prefix is not None:
                 prefix.append(rec)
-            done += 1
-            end += len(line)
-    return done
-
-
-def _appended(handle, records):
-    """Pass the records through, writing each to handle as a JSONL line."""
-    for record in records:
-        handle.write(record.to_json_line() + "\n")
-        yield record
+        if torn:
+            following = next(keys, None)
+            if following is None:
+                raise DomainError(f"line {torn[0]} lies beyond the last key of the scan")
+            handle.truncate(torn[1])
+            keys = chain((following,), keys)
+    return keys
 
 
 def scan_to_file(z_min: int, z_max: int, out_path: str, *, jobs: int = 1,
@@ -326,17 +332,22 @@ def scan_to_file(z_min: int, z_max: int, out_path: str, *, jobs: int = 1,
     `write_csv` projects the records as the scan has them, the prefix it
     read back and then each record as it is appended, so the JSONL is not
     read a second time.  Returns the number of records appended."""
-    keys = scan_keys(z_min, z_max)
     prefix = None if csv_path is None else []
-    done = _resume_point(out_path, keys, prefix)
+    keys = _resume_point(out_path, scan_keys(z_min, z_max), prefix)
+    appended = 0
     with open(out_path, "a", encoding="utf-8") as handle:
-        new = _appended(handle, compute_records(keys[done:], jobs=jobs))
+        def new():
+            nonlocal appended
+            for record in compute_records(keys, jobs=jobs):
+                handle.write(record.to_json_line() + "\n")
+                appended += 1
+                yield record
         if csv_path is None:
-            for _ in new:
+            for _ in new():
                 pass
         else:
-            write_csv(chain(prefix, new), csv_path)
-    return len(keys) - done
+            write_csv(chain(prefix, new()), csv_path)
+    return appended
 
 
 def _parse_line(line: bytes, path: str, number: int):
@@ -372,20 +383,13 @@ def write_csv(records, path: str) -> None:
 
 
 def check_complete(records) -> None:
-    """Verify the records cover every key of their z-range; refuse with the
-    missing keys otherwise."""
-    if not records:
-        return
-    by_key = {(rec.key.z, rec.key.q_rep) for rec in records}
-    z_min, z_max = min(by_key)[0], max(by_key)[0]
-    missing = [(key.z, key.q_rep) for key in scan_keys(z_min, z_max)
-               if (key.z, key.q_rep) not in by_key]
-    if missing:
-        head = ", ".join(f"(z={z}, q={q})" for z, q in missing[:8])
-        raise DomainError(
-            f"incomplete scan for z in [{z_min}, {z_max}]: {len(missing)} "
-            f"missing keys, first: {head}"
-        )
+    """Require the records to be exactly the keys of [first z, last z], in
+    scan order (`_in_scan_order`)."""
+    if records:
+        z_min = records[0].key.z
+        keys = scan_keys(z_min, max(z_min, records[-1].key.z))
+        for _ in _in_scan_order(enumerate(records, start=1), keys, whole=True):
+            pass
 
 
 def stats(records) -> dict:
@@ -404,14 +408,12 @@ def stats(records) -> dict:
         "gap_histogram": dict(sorted(gaps.items())),
         "error_rows": len(records) - len(rows),
     }
-    if rows:
-        out["z_range"] = [min(rec.key.z for rec in rows), max(rec.key.z for rec in rows)]
-    first = min((rec for rec in rows if rec.gap > 0), key=lambda rec: rec.key.z,
-                default=None)
+    if rows:  # in scan order, so z ascends
+        out["z_range"] = [rows[0].key.z, rows[-1].key.z]
+    first = next((rec for rec in rows if rec.gap > 0), None)
     if first is not None:
-        out["smallest_dimension_with_gap"] = {
-            "z": first.key.z, "q": first.key.q_rep, "n": first.n, "gap": first.gap,
-        }
+        out["smallest_dimension_with_gap"] = {"z": first.key.z, "q": first.key.q_rep,
+                                              "n": first.n, "gap": first.gap}
     return out
 
 
@@ -453,11 +455,11 @@ def _classes(z: int, members: list[list[int]]) -> list[dict]:
 def isomorphism_screen(records, z: int) -> list[dict]:
     """Partition the records at a fixed z by Loewy vector, then split each
     group into its classes (`_classes`)."""
-    at_z = [rec for rec in records
-            if rec.key.z == z and isinstance(rec, DbRecord)]
-    expected = {key.q_rep for key in subgroup_representatives(z)}
-    if {rec.key.q_rep for rec in at_z} != expected:
-        raise DomainError(f"records for z={z} are incomplete")
+    numbered = [(number, rec) for number, rec in enumerate(records, start=1)
+                if rec.key.z == z]
+    at_z = list(_in_scan_order(numbered, scan_keys(z, z), whole=True))
+    if not all(isinstance(rec, DbRecord) for rec in at_z):
+        raise DomainError(f"the records of z={z} hold an error row")
     groups: dict[tuple, list[list[int]]] = {}
     for rec in at_z:
         groups.setdefault(rec.loewy_vector, []).append([rec.key.q_rep, rec.n])

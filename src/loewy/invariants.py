@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import INVARIANT_LINES_CAPACITY, Algebra
+from .algebra import INVARIANT_LINES_CAPACITY, Algebra, degree_test_rows
 from .arith import is_prime
 from .errors import CapacityError, DomainError
 
@@ -100,28 +100,17 @@ def radical_power(alg: Algebra, i: int) -> frozenset[int]:
 def socle_series(alg: Algebra) -> list[frozenset[int]]:
     """S_j = ann(J^j) for j = 1..LL-1, as basis index sets.
 
-    b_k lies in S_j iff it kills every basis element of J^j; the identity
-    b_0 never does while J^j != 0.  b_z always annihilates the radical, and
-    products against b_z vanish, so the work reduces to the validity table
-    over 1..z-1.
+    b_k lies in S_j iff it kills J^j, that is iff top[k] < j, where top[k]
+    is the largest lam[l] over the l with b_k * b_l != 0, l = 0 included:
+    row k of the degree test for 0 < k < z, only l = 0 for b_z, and every
+    l for b_0, so top[0] = lam[z].
     """
-    from .algebra import validity_table
-
-    profile = alg.loewy_profile()
-    z = alg.z
-    table = validity_table(alg)
-    series = []
-    for j in range(1, profile.ll):
-        layer = sorted(l for l in radical_power(alg, j) if l < z)
-        members = {z}
-        if z > 1:
-            if layer:
-                cols = np.array(layer, dtype=np.int64) - 1
-                dead = ~table[:, cols].any(axis=1)
-            else:
-                dead = np.ones(z - 1, dtype=bool)
-            members.update(int(k) + 1 for k in np.nonzero(dead)[0])
-        series.append(frozenset(members))
+    lam, z = alg.loewy_profile().lam, alg.z
+    top = np.zeros_like(lam)
+    top[0] = lam[z]  # LL - 1
+    for k, row in enumerate(degree_test_rows(alg), start=1):
+        top[k] = lam[1:z - k + 1][row].max(initial=0)
+    series = [frozenset(np.flatnonzero(top < j).tolist()) for j in range(1, lam[z] + 1)]
     duality_check(alg, series)
     return series
 

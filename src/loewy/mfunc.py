@@ -85,6 +85,10 @@ INDEX_CAPACITY = INDEX_CAPACITY_BYTES // _BYTES_PER_INDEX - 1
 # bits unpacked.  tracemalloc measured 68.1 to 68.5 at e = 10^4 to 2*10^5.
 _BYTES_PER_RESIDUE = 72
 BFS_CAPACITY = INDEX_CAPACITY_BYTES // _BYTES_PER_RESIDUE
+# The BFS's work budget: growing a layer counts (ord_e(q) + 1) * e units,
+# its rotations and its mask of an e-bit int.  On 2 vCPUs, q = 2, e = 200003
+# (4.0e10 units) took 5.5 s and q = 100004, e = 700021 (2.8e11) 48.7 s.
+BFS_WORK_CAPACITY = 1 << 40
 # The grid CSV's bytes per cell, counting the header row and the q column:
 # the (q, e) keys and values of the grid, the rows' strings and the joined
 # text.  tracemalloc measured 65.6 to 170.8, the most for 20-digit q and no
@@ -167,6 +171,10 @@ def m_bfs(q: int, e: int) -> MResult:
         unseen ^= layer
         if not unseen & 1:
             break
+        if t * (len(powers) + 1) * e > BFS_WORK_CAPACITY:  # the work of t grown layers
+            raise CapacityError(f"the BFS of e={format_decimal(e)} needs more than "
+                                f"{BFS_WORK_CAPACITY} units of work; use the residue "
+                                "method with (q, n, z)")
         grown = 0
         for s in powers:
             grown |= (layer << s) | (layer >> (e - s))

@@ -83,6 +83,19 @@ def test_mult_order_divides_phi(a, modulus):
     assert euler_phi(modulus) % mult_order(a, modulus) == 0
 
 
+def test_mult_order_matches_brute_force():
+    # the least t >= 1 with a^t = 1, for every unit a modulo every N <= 200;
+    # a and a + N give the same order
+    for modulus in range(1, 201):
+        for a in range(modulus):
+            if gcd(a, modulus) != 1:
+                continue
+            t, power = 1, a % modulus
+            while power != 1 % modulus:
+                t, power = t + 1, power * a % modulus
+            assert mult_order(a, modulus) == mult_order(a + modulus, modulus) == t
+
+
 def test_order_dividing_matches_mult_order():
     assert order_dividing(3, 11, 10) == 5
     big = (9**15 - 1) // 5551

@@ -125,6 +125,26 @@ class TestCapacity:
                                capsys)
         assert code == 0 and out.splitlines()[1:] == ["m = 31"]
 
+    def test_m_bfs_over_work_budget(self, capsys, monkeypatch):
+        # e = 1365 = (2^12 - 1)/3 has no closed form; growing its first
+        # layer alone counts (ord_e(2) + 1) * e = 13 * 1365 units
+        monkeypatch.setattr(mfunc, "BFS_WORK_CAPACITY", 13 * 1365 - 1)
+        code, out, err = run_cli(["m", "--q", "2", "--e", "1365"], capsys)
+        assert code == 2 and out.splitlines()[1:] == []
+        assert err == ("capacity error: the BFS of e=1365 needs more than 17744 "
+                       "units of work; use the residue method with (q, n, z)\n")
+        # with n, m falls back to the residue method at z = 3
+        for extra in ([], ["--witness"]):
+            code, out, _ = run_cli(["m", "--q", "2", "--n", "12", "--e", "1365", *extra],
+                                   capsys)
+            assert code == 0 and out.splitlines()[1] == "m = 6"
+        # m = 6 takes five grown layers
+        monkeypatch.setattr(mfunc, "BFS_WORK_CAPACITY", 5 * 13 * 1365)
+        assert mfunc.m_bfs(2, 1365).m == 6
+        monkeypatch.setattr(mfunc, "BFS_WORK_CAPACITY", 5 * 13 * 1365 - 1)
+        with pytest.raises(CapacityError):
+            mfunc.m_bfs(2, 1365)
+
     def test_m_witness_over_budget(self, capsys, monkeypatch):
         # m = 2^61 is printed; its witness would hold 2^61 exponents
         monkeypatch.setattr(mfunc, "exponent_digits", self._unreachable)
@@ -441,6 +461,37 @@ class TestScanPipeline:
             body = out.split("\n", 1)[1]
             assert hashlib.sha256(body.encode()).hexdigest() == want, (command, *extra)
 
+    # z in [2, 12] holds 33 records; those of z = 12 are records 30 to 33,
+    # with q = 13, 5, 7 and 11
+    BROKEN = {
+        "twice": (lambda lines: lines + lines,
+                  "record 34 (z=2, q=3) lies beyond the last key of the scan",
+                  "record 63 (z=12, q=13) lies beyond the last key of the scan"),
+        "overlap": (lambda lines: lines[:31] + lines[26:],
+                    "record 32 (z=11, q=10) stands where the key (z=12, q=7) belongs",
+                    "record 35 (z=12, q=13) stands where the key (z=12, q=7) belongs"),
+        "swapped": (lambda lines: lines[:30] + [lines[31], lines[30]] + lines[32:],
+                    "record 31 (z=12, q=7) stands where the key (z=12, q=5) belongs",
+                    "record 31 (z=12, q=7) stands where the key (z=12, q=5) belongs"),
+    }
+
+    @pytest.mark.parametrize("name", BROKEN)
+    def test_records_out_of_scan_order_exit_1(self, name, tmp_path, capsys):
+        # a scan written twice, two bands that overlap by five records, two
+        # adjacent lines swapped: stats and screen stop at the first record
+        # that is not the next key of the scan, with one message
+        db = tmp_path / "db.jsonl"
+        run_cli(["scan", "--zmin", "2", "--zmax", "12", "--out", str(db)], capsys)
+        lines = db.read_text().splitlines(keepends=True)
+        assert len(lines) == 33
+        broken, *messages = self.BROKEN[name]
+        db.write_text("".join(broken(lines)))
+        for args, message in zip((["stats", "--in", str(db)],
+                                  ["screen", "--in", str(db), "--z", "12"]), messages):
+            code, out, err = run_cli(args, capsys)
+            assert code == 1 and out.count("\n") == 1
+            assert err == f"error: {message}\n"
+
     def test_malformed_file_exits_1(self, tmp_path, capsys):
         db = tmp_path / "db.jsonl"
         run_cli(["scan", "--zmin", "2", "--zmax", "6", "--out", str(db)], capsys)
@@ -572,6 +623,7 @@ class TestFuzz:
         work = tmp_path_factory.mktemp("fuzz")
         assert main(["scan", "--zmin", "2", "--zmax", "12",
                      "--out", str(work / "small.jsonl")]) == 0
+        (work / "twice.jsonl").write_text((work / "small.jsonl").read_text() * 2)
         (work / "garbage.jsonl").write_text("garbage\n")
         (work / "empty.jsonl").write_text("")
         return work
@@ -608,7 +660,7 @@ class TestFuzz:
                 flags += ["--z", z]
             return flags
 
-        files = st.sampled_from(["small", "garbage", "empty", "missing"]).map(
+        files = st.sampled_from(["small", "twice", "garbage", "empty", "missing"]).map(
             lambda name: ["--in", work / f"{name}.jsonl"])
         commands = st.one_of(
             st.tuples(st.just(["m"]), parameters(), switch("--witness"),

@@ -12,6 +12,7 @@ from loewy.database import (
     CSV_HEADER,
     DbRecord,
     EquivKey,
+    ErrorRecord,
     check_complete,
     compute_record,
     isomorphism_screen,
@@ -162,7 +163,7 @@ class TestLoaderTypes:
 
 class TestScan:
     def test_order_is_deterministic(self):
-        keys = scan_keys(2, 12)
+        keys = list(scan_keys(2, 12))
         assert keys == sorted(keys, key=lambda k: (k.z, k.order, k.q_rep))
 
     def test_byte_identical_rescan(self, tmp_path):
@@ -205,6 +206,20 @@ class TestScan:
         with pytest.raises(DomainError, match="beyond"):
             scan_to_file(2, 5, str(out))
         assert out.read_bytes() == before
+
+    def test_resume_rejects_longer_file_with_torn_line(self, tmp_path):
+        # z in [2, 5] holds 8 records; a line past them is refused, torn or
+        # not, before the torn line is cut off
+        out = tmp_path / "out.jsonl"
+        scan_to_file(2, 12, str(out))
+        lines = out.read_bytes().splitlines(keepends=True)
+        for data, message in (
+                (b"".join(lines)[:-20], r"record 9 \(z=6, q=7\) lies beyond"),
+                (b"".join(lines[:8]) + lines[8][:30], "line 9 lies beyond")):
+            out.write_bytes(data)
+            with pytest.raises(DomainError, match=message):
+                scan_to_file(2, 5, str(out))
+            assert out.read_bytes() == data
 
     def test_resume_rejects_foreign_prefix(self, tmp_path):
         out = tmp_path / "out.jsonl"
@@ -289,7 +304,7 @@ class TestScanCsv:
         done = len(out.read_text().splitlines())
         assert done == len(batches[0]) + len(batches[1])
         monkeypatch.setattr(db, "compute_batch", real)
-        assert scan_to_file(2, 60, str(out), csv_path=str(csv)) == len(scan_keys(2, 60)) - done
+        assert scan_to_file(2, 60, str(out), csv_path=str(csv)) == len(list(scan_keys(2, 60))) - done
         want = tmp_path / "want.csv"
         write_csv(scan_records(2, 60), str(want))
         assert csv.read_bytes() == want.read_bytes()
@@ -314,7 +329,7 @@ class TestBatches:
 
         full, torn = tmp_path / "full.jsonl", tmp_path / "torn.jsonl"
         scan_to_file(2, 60, str(full))
-        keys = scan_keys(2, 60)
+        keys = list(scan_keys(2, 60))
         batch = next(b for b in db._batches(keys) if len(b) > 2)
         inside = keys.index(batch[len(batch) // 2])  # neither first nor last
         lines = full.read_bytes().splitlines(keepends=True)
@@ -378,7 +393,7 @@ class TestBatches:
         z = 524341
         wide = EquivKey(z, tuple(range(1, z)), 6)
         assert mult_order(6, z) == z - 1 == wide.order
-        small = scan_keys(5, 9)
+        small = list(scan_keys(5, 9))
         want = [compute_record(key) for key in small]
         profiled, real = [], db.loewy_profiles
 
@@ -397,7 +412,7 @@ class TestBatches:
     def test_cut_under_budget(self):
         import loewy.database as db
 
-        keys = scan_keys(2, 120) + scan_keys(4095, 4096)
+        keys = [*scan_keys(2, 120), *scan_keys(4095, 4096)]
         batches = list(db._batches(keys))
         assert [key for batch in batches for key in batch] == keys
         for batch in batches:
@@ -536,3 +551,13 @@ class TestScreen:
         records = [compute_record(subgroup_representatives(40)[0])]
         with pytest.raises(DomainError):
             isomorphism_screen(records, 40)
+
+    def test_error_row_rejected(self):
+        # a key of z = 7 kept as its error row leaves the screen of z = 7
+        # without a member; the screens of the other z are whole
+        records = list(scan_records(5, 9))
+        at = next(i for i, rec in enumerate(records) if rec.key.z == 7)
+        records[at] = ErrorRecord(records[at].key, "synthetic budget overrun")
+        with pytest.raises(DomainError, match="z=7 hold an error row"):
+            isomorphism_screen(records, 7)
+        assert isomorphism_screen(records, 8) == isomorphism_screen(scan_records(8, 8), 8)
