@@ -12,6 +12,7 @@ import functools
 import json
 import random
 import sys
+from itertools import islice
 
 from . import criteria as criteria_mod
 from . import database
@@ -137,8 +138,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    records = database.load_records(args.infile)
-    summary = database.stats(records)
+    summary = database.stats(database.load_records(args.infile))
     if args.json:
         print(json.dumps(summary, separators=(",", ":")))
     else:
@@ -148,30 +148,38 @@ def cmd_stats(args) -> int:
 
 
 def cmd_screen(args) -> int:
-    records = database.load_records(args.infile)
-    report = database.isomorphism_screen(records, args.z)
+    report = database.isomorphism_screen(database.load_records(args.infile), args.z)
     print(json.dumps(report, indent=2))
     return 0
 
 
 def cmd_verify(args) -> int:
-    records = [rec for rec in database.load_records(args.infile)
-               if isinstance(rec, database.DbRecord)]
-    if not records:
+    # one pass counts the records, error rows left out, and a second fetches
+    # those sampled: sample(range(total), k) draws the positions that
+    # sample(records, k) would
+    def records():
+        return (rec for _, rec in database.load_records(args.infile)
+                if isinstance(rec, database.DbRecord))
+
+    total = sum(1 for _ in records())
+    if not total:
         raise DomainError("no records to verify")
     if args.sample < 0:
         raise DomainError(f"sample must be >= 0, got {args.sample}")
-    rng = random.Random(args.seed)
-    sample = rng.sample(records, min(args.sample, len(records)))
+    picked = random.Random(args.seed).sample(range(total), min(args.sample, total))
+    at = dict.fromkeys(picked)  # position -> record, in the order drawn
+    for i, rec in enumerate(islice(records(), max(picked, default=-1) + 1)):
+        if i in at:
+            at[i] = rec
     bad = 0
-    for rec in sample:
+    for rec in at.values():
         fresh = database.compute_record(rec.key)
         if fresh != rec:
             bad += 1
             print(f"MISMATCH z={rec.key.z} q={rec.key.q_rep}")
             print(f"  stored:     {rec.to_json_line()}")
             print(f"  recomputed: {fresh.to_json_line()}")
-    print(f"verified {len(sample)} records, {bad} mismatches")
+    print(f"verified {len(at)} records, {bad} mismatches")
     return 0 if bad == 0 else 1
 
 

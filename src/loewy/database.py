@@ -7,18 +7,20 @@ order, then representative), scans are resumable by extending a prefix, and
 rescans of the same range are byte-identical.  A record is built once from
 the profile its batch's `loewy_profiles` call left on the algebra, and
 writes its JSON line and CSV row each with one f-string, the JSON byte for
-byte what json.dumps gives; the loader refuses a field of any type or form
-that the f-string would write otherwise.
+byte what json.dumps gives.  Every reader of a scan file consumes one
+generator, `load_records`, in one pass, and never holds its records; the
+loader refuses a field of any type or form that the f-string would write
+otherwise.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections import Counter
+from collections import Counter, deque
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import chain, islice, product
+from itertools import chain, count, islice, product
 from operator import itemgetter
 
 from .algebra import FLAG_NAMES, Algebra, loewy_profiles, same_table
@@ -219,15 +221,26 @@ def scan_keys(z_min: int, z_max: int):
 def _in_scan_order(numbered, keys, *, whole: bool = False):
     """Pass the records of the (number, record) pairs through while each is
     the next of keys; refuse the first one missing, repeated, foreign or
-    out of order, by number and key.  With whole, no key may be left."""
+    out of order, by number and key.  With whole, the records must be
+    exactly the keys up to the last pair's z, which is read on to after a
+    record out of place, so that a malformed line anywhere wins."""
+    numbered = iter(numbered)
+    last = None  # the z of the last record passed
     for number, rec in numbered:
         expected = next(keys, None)
         if rec.key != expected:
+            if whole:
+                end = rec.key.z
+                for _, later in numbered:
+                    end = later.key.z
+                if expected is not None and expected.z > end:
+                    expected = None
             place = ("lies beyond the last key of the scan" if expected is None else
                      f"stands where the key (z={expected.z}, q={expected.q_rep}) belongs")
             raise DomainError(f"record {number} (z={rec.key.z}, q={rec.key.q_rep}) {place}")
+        last = rec.key.z
         yield rec
-    if whole and (missing := next(keys, None)) is not None:
+    if whole and (missing := next(keys, None)) is not None and (last is None or missing.z <= last):
         raise DomainError(f"the records end before the key (z={missing.z}, q={missing.q_rep})")
 
 
@@ -268,12 +281,10 @@ def compute_records(keys, *, jobs: int = 1):
     """Yield the records of the given keys in order.  Consecutive keys are
     cut into batches of at most BATCH_CELLS cells, one per index of their
     rows, and each batch runs one `compute_batch`, so the batch boundaries
-    never show in the output.
-    A pool of worker processes computes the batches out of order, and the
-    pool's mapper restores the order.  It has as many workers as the
-    smallest of jobs, the CPUs this process may use and the batches, since
-    the pool starts all of them at once: no more batches are looked at
-    first.  With one worker, no pool starts."""
+    never show in the output.  A pool of worker processes computes at most
+    two batches per worker ahead.  It has as many workers as the smallest
+    of jobs, the CPUs this process may use and the batches, since the pool
+    starts all of them at once; with one worker, no pool starts."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     batches = _batches(keys)
@@ -287,7 +298,11 @@ def compute_records(keys, *, jobs: int = 1):
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=len(head)) as pool:
-        yield from chain.from_iterable(pool.map(compute_batch, batches))
+        futures = (pool.submit(compute_batch, batch) for batch in batches)
+        pending = deque(islice(futures, 2 * len(head)))
+        while pending:
+            yield from pending.popleft().result()
+            pending.extend(islice(futures, 1))
 
 
 def scan_records(z_min: int, z_max: int, *, jobs: int = 1):
@@ -295,33 +310,53 @@ def scan_records(z_min: int, z_max: int, *, jobs: int = 1):
     return compute_records(scan_keys(z_min, z_max), jobs=jobs)
 
 
-def _resume_point(out_path: str, keys, prefix=None):
-    """The keys left after the records in out_path, the first of keys
-    (`_in_scan_order`), each appended to prefix when given.  A torn final
-    line is cut off; with no key left for it, it is refused instead."""
-    try:
-        handle = open(out_path, "rb+")
-    except FileNotFoundError:
-        return keys
-    torn = []  # the number and offset of a torn final line
+class _TornLine(DomainError):
+    """A final line without its newline that does not parse, a write cut
+    short: the resume cuts the file at its offset, a reader refuses it."""
 
-    def lines():
+    def __init__(self, message: str, number: int, offset: int):
+        super().__init__(message)
+        self.number, self.offset = number, offset
+
+
+def load_records(path: str):
+    """Yield (line number, record) for each line of the scan file at path,
+    parsed as it is read.  A blank line is refused; a final line without
+    its newline is parsed too, and is a _TornLine when it does not parse."""
+    with open(path, "rb") as handle:
         for number, line in enumerate(handle, start=1):
-            if not line.endswith(b"\n"):
-                torn.extend((number, handle.tell() - len(line)))
-                return
-            yield number, _parse_line(line, out_path, number)
+            if not line.strip():
+                raise DomainError(f"{path} line {number}: blank line")
+            try:
+                record = DbRecord.from_json_line(line)
+            except DomainError as exc:
+                message = f"{path} line {number}: {exc}"
+                if line.endswith(b"\n"):
+                    raise DomainError(message) from None
+                raise _TornLine(message, number, handle.tell() - len(line)) from None
+            yield number, record
 
-    with handle:
-        for rec in _in_scan_order(lines(), keys):
-            if prefix is not None:
-                prefix.append(rec)
-        if torn:
-            following = next(keys, None)
-            if following is None:
-                raise DomainError(f"line {torn[0]} lies beyond the last key of the scan")
-            handle.truncate(torn[1])
-            keys = chain((following,), keys)
+
+def _resume_point(out_path: str, keys):
+    """Yield the records of the scan file at out_path while each is the next
+    of keys (`_in_scan_order`), and return the keys left.  A torn final
+    line is cut off, or refused before anything is cut when no key is left
+    for it; a final line that parses but lacks its newline gets one."""
+    if not os.path.exists(out_path):
+        return keys
+    try:
+        yield from _in_scan_order(load_records(out_path), keys)
+    except _TornLine as torn:
+        following = next(keys, None)
+        if following is None:
+            raise DomainError(f"line {torn.number} lies beyond the last key of the scan") from None
+        os.truncate(out_path, torn.offset)
+        return chain((following,), keys)
+    if os.path.getsize(out_path):
+        with open(out_path, "rb+") as handle:
+            handle.seek(-1, os.SEEK_END)
+            if handle.read(1) != b"\n":
+                handle.write(b"\n")
     return keys
 
 
@@ -329,38 +364,25 @@ def scan_to_file(z_min: int, z_max: int, out_path: str, *, jobs: int = 1,
                  csv_path: str | None = None) -> int:
     """Write (or extend) a JSONL scan; an existing file must be a prefix of
     the deterministic key order and is never recomputed.  With csv_path,
-    `write_csv` projects the records as the scan has them, the prefix it
-    read back and then each record as it is appended, so the JSONL is not
-    read a second time.  Returns the number of records appended."""
-    prefix = None if csv_path is None else []
-    keys = _resume_point(out_path, scan_keys(z_min, z_max), prefix)
+    `write_csv` projects the records read back, then each one appended.
+    Returns the number of records appended."""
+    keys = scan_keys(z_min, z_max)
     appended = 0
-    with open(out_path, "a", encoding="utf-8") as handle:
-        def new():
-            nonlocal appended
-            for record in compute_records(keys, jobs=jobs):
+
+    def records():
+        nonlocal appended
+        left = yield from _resume_point(out_path, keys)
+        with open(out_path, "a", encoding="utf-8") as handle:
+            for record in compute_records(left, jobs=jobs):
                 handle.write(record.to_json_line() + "\n")
                 appended += 1
                 yield record
-        if csv_path is None:
-            for _ in new():
-                pass
-        else:
-            write_csv(chain(prefix, new()), csv_path)
+
+    if csv_path is None:
+        deque(records(), 0)
+    else:
+        write_csv(records(), csv_path)
     return appended
-
-
-def _parse_line(line: bytes, path: str, number: int):
-    try:
-        return DbRecord.from_json_line(line)
-    except DomainError as exc:
-        raise DomainError(f"{path} line {number}: {exc}") from None
-
-
-def load_records(path: str) -> list[DbRecord]:
-    with open(path, "rb") as handle:
-        return [_parse_line(line, path, number)
-                for number, line in enumerate(handle, start=1) if line.strip()]
 
 
 def write_csv(records, path: str) -> None:
@@ -382,38 +404,44 @@ def write_csv(records, path: str) -> None:
         raise
 
 
-def check_complete(records) -> None:
-    """Require the records to be exactly the keys of [first z, last z], in
-    scan order (`_in_scan_order`)."""
-    if records:
-        z_min = records[0].key.z
-        keys = scan_keys(z_min, max(z_min, records[-1].key.z))
-        for _ in _in_scan_order(enumerate(records, start=1), keys, whole=True):
-            pass
-
-
-def stats(records) -> dict:
-    """Aggregate counts for a complete scan range; error rows are counted
-    separately and excluded from the aggregates."""
-    check_complete(records)
-    rows = [rec for rec in records if isinstance(rec, DbRecord)]
-    gaps = Counter(rec.gap for rec in rows)
+def stats(numbered) -> dict:
+    """Aggregate counts of the (number, record) pairs of a scan, in one
+    pass; the records must be exactly the keys of [first z, last z].  Error
+    rows are counted apart and excluded from the aggregates."""
+    numbered = iter(numbered)
+    head, walk = next(numbered, None), ()
+    if head is not None:  # the keys from the first z on, bounded by the walk
+        keys = chain.from_iterable(map(subgroup_representatives, count(head[1].key.z)))
+        walk = _in_scan_order(chain((head,), numbered), keys, whole=True)
+    gaps, vectors = Counter(), set()
+    ll_three = spikes = errors = 0
+    first = last = first_gap = None
+    for rec in walk:
+        if not isinstance(rec, DbRecord):
+            errors += 1
+            continue
+        gaps[rec.gap] += 1
+        vectors.add(rec.loewy_vector)
+        ll_three += rec.ll == 3
+        spikes += rec.flags["spike_vector"]
+        if first_gap is None and rec.gap > 0:
+            first_gap = rec
+        first, last = first or rec, rec
     out = {
-        "parameter_pairs": len(rows),
-        "distinct_loewy_vectors": len({rec.loewy_vector for rec in rows}),
-        "ll_three": sum(rec.ll == 3 for rec in rows),
-        "spike_vectors": sum(rec.flags["spike_vector"] for rec in rows),
-        "gap_positive": sum(count for gap, count in gaps.items() if gap > 0),
-        "gap_above_one": sum(count for gap, count in gaps.items() if gap > 1),
+        "parameter_pairs": sum(gaps.values()),
+        "distinct_loewy_vectors": len(vectors),
+        "ll_three": ll_three,
+        "spike_vectors": spikes,
+        "gap_positive": sum(n for gap, n in gaps.items() if gap > 0),
+        "gap_above_one": sum(n for gap, n in gaps.items() if gap > 1),
         "gap_histogram": dict(sorted(gaps.items())),
-        "error_rows": len(records) - len(rows),
+        "error_rows": errors,
     }
-    if rows:  # in scan order, so z ascends
-        out["z_range"] = [rows[0].key.z, rows[-1].key.z]
-    first = next((rec for rec in rows if rec.gap > 0), None)
-    if first is not None:
-        out["smallest_dimension_with_gap"] = {"z": first.key.z, "q": first.key.q_rep,
-                                              "n": first.n, "gap": first.gap}
+    if first is not None:  # in scan order, so z ascends
+        out["z_range"] = [first.key.z, last.key.z]
+    if first_gap is not None:
+        out["smallest_dimension_with_gap"] = {"z": first_gap.key.z, "q": first_gap.key.q_rep,
+                                              "n": first_gap.n, "gap": first_gap.gap}
     return out
 
 
@@ -425,6 +453,7 @@ def _classes(z: int, members: list[list[int]]) -> list[dict]:
     if len(members) == 1:
         return [{"members": members, "status": "singleton"}]
     algebras = [Algebra(q, n, z) for q, n in members]
+    loewy_profiles(algebras)  # one kernel call for the tables and reports
     classes: list[list[int]] = []
     for i, alg in enumerate(algebras):
         cls = next((cls for cls in classes if same_table(algebras[cls[0]], alg)), None)
@@ -452,17 +481,19 @@ def _classes(z: int, members: list[list[int]]) -> list[dict]:
     return out
 
 
-def isomorphism_screen(records, z: int) -> list[dict]:
-    """Partition the records at a fixed z by Loewy vector, then split each
-    group into its classes (`_classes`)."""
-    numbered = [(number, rec) for number, rec in enumerate(records, start=1)
-                if rec.key.z == z]
-    at_z = list(_in_scan_order(numbered, scan_keys(z, z), whole=True))
-    if not all(isinstance(rec, DbRecord) for rec in at_z):
-        raise DomainError(f"the records of z={z} hold an error row")
+def isomorphism_screen(numbered, z: int) -> list[dict]:
+    """Partition the records at z of the (number, record) pairs of a scan,
+    read in one pass, by Loewy vector; split each group into `_classes`."""
+    at_z = ((number, rec) for number, rec in numbered if rec.key.z == z)
     groups: dict[tuple, list[list[int]]] = {}
-    for rec in at_z:
-        groups.setdefault(rec.loewy_vector, []).append([rec.key.q_rep, rec.n])
+    error_row = False
+    for rec in _in_scan_order(at_z, scan_keys(z, z), whole=True):
+        if isinstance(rec, DbRecord):
+            groups.setdefault(rec.loewy_vector, []).append([rec.key.q_rep, rec.n])
+        else:
+            error_row = True
+    if error_row:
+        raise DomainError(f"the records of z={z} hold an error row")
     return [{"loewy_vector": list(vector), "members": members,
              "classes": _classes(z, members)}
             for vector, members in sorted(groups.items())]

@@ -198,8 +198,8 @@ def test_criterion_08_scan_to_99(tmp_path):
     scan_to_file(2, 99, str(out))
     from loewy.database import load_records
 
-    records = load_records(str(out))
-    summary = stats(records)
+    summary = stats(load_records(str(out)))
+    records = [rec for _, rec in load_records(str(out))]
     with_gap = sorted((r.key.q_rep, r.n, r.key.z) for r in records if r.gap > 0)
     assert with_gap == [(3, 12, 70), (5, 12, 91), (8, 12, 95)]
     assert all(r.gap == 0 for r in records if r.key.z < 70)

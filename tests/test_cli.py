@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import signal
 import subprocess
 import sys
@@ -492,6 +493,27 @@ class TestScanPipeline:
             assert code == 1 and out.count("\n") == 1
             assert err == f"error: {message}\n"
 
+    def test_blank_line_exits_1(self, tmp_path, capsys):
+        # a blank or whitespace-only line stops every reader and the resume
+        # at its line, with one message; an empty file is an empty scan
+        db = tmp_path / "db.jsonl"
+        run_cli(["scan", "--zmin", "2", "--zmax", "8", "--out", str(db)], capsys)
+        lines = db.read_text().splitlines(keepends=True)
+        for blank in ("\n", " \t\n"):
+            db.write_text("".join(lines[:4]) + blank + "".join(lines[4:]))
+            before = db.read_bytes()
+            for args in (["stats", "--in", str(db)],
+                         ["screen", "--in", str(db), "--z", "8"],
+                         ["verify", "--in", str(db)],
+                         ["scan", "--zmin", "2", "--zmax", "8", "--out", str(db)]):
+                code, out, err = run_cli(args, capsys)
+                assert code == 1 and out.count("\n") == 1, args
+                assert err == f"error: {db} line 5: blank line\n", args
+            assert db.read_bytes() == before
+        db.write_text("")
+        code, out, _ = run_cli(["stats", "--in", str(db), "--json"], capsys)
+        assert code == 0 and json.loads(out.splitlines()[1])["parameter_pairs"] == 0
+
     def test_malformed_file_exits_1(self, tmp_path, capsys):
         db = tmp_path / "db.jsonl"
         run_cli(["scan", "--zmin", "2", "--zmax", "6", "--out", str(db)], capsys)
@@ -528,6 +550,24 @@ class TestScanPipeline:
             assert err.startswith("error: ") and err.count("\n") == 1, args
             assert "line 3" in err and "Traceback" not in err
         assert db.read_bytes() == before and not csv.exists()
+
+    def test_verify_sample_pinned(self, tmp_path, capsys):
+        # every stored m is one too large, so every sampled record is a
+        # mismatch; the seed fixes which records are sampled, and in what
+        # order they are printed
+        db = tmp_path / "db.jsonl"
+        run_cli(["scan", "--zmin", "2", "--zmax", "20", "--out", str(db)], capsys)
+        db.write_text(re.sub(r'"m":(\d+)', lambda m: f'"m":{int(m[1]) + 1}', db.read_text()))
+        code, out, err = run_cli(["verify", "--in", str(db), "--seed", "5",
+                                  "--sample", "7"], capsys)
+        assert code == 1 and err == ""
+        body = out.split("\n", 1)[1]
+        assert [line for line in body.splitlines() if not line.startswith("  ")] == [
+            "MISMATCH z=12 q=11", "MISMATCH z=15 q=11", "MISMATCH z=19 q=8",
+            "MISMATCH z=4 q=5", "MISMATCH z=17 q=3", "MISMATCH z=12 q=7",
+            "MISMATCH z=5 q=4", "verified 7 records, 7 mismatches"]
+        assert hashlib.sha256(body.encode()).hexdigest() == (
+            "26c9e5cd25bf6be25b9fed89efef2eaed40e9519c2a2353178d036e673827efa")
 
     def test_verify_detects_corruption(self, tmp_path, capsys):
         db = tmp_path / "db.jsonl"

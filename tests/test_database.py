@@ -13,7 +13,6 @@ from loewy.database import (
     DbRecord,
     EquivKey,
     ErrorRecord,
-    check_complete,
     compute_record,
     isomorphism_screen,
     load_records,
@@ -188,6 +187,29 @@ class TestScan:
         assert scan_to_file(2, 20, str(torn)) == 1
         assert torn.read_bytes() == full.read_bytes()
 
+    def test_final_line_without_newline(self, tmp_path):
+        # a final line that parses but lost its newline: the readers take
+        # its record, and the resume gives it its newline before appending
+        full, cut, wider = (tmp_path / f"{name}.jsonl" for name in ("full", "cut", "wider"))
+        scan_to_file(2, 20, str(full))
+        scan_to_file(2, 25, str(wider))
+        data = full.read_bytes()
+        cut.write_bytes(data[:-1])
+        assert list(load_records(str(cut))) == list(load_records(str(full)))
+        assert scan_to_file(2, 20, str(cut)) == 0
+        assert cut.read_bytes() == data
+        cut.write_bytes(data[:-1])
+        assert scan_to_file(2, 25, str(cut)) == len(list(scan_keys(21, 25)))
+        assert cut.read_bytes() == wider.read_bytes()
+
+    def test_torn_final_line_refused_by_readers(self, tmp_path):
+        out = tmp_path / "out.jsonl"
+        scan_to_file(2, 20, str(out))
+        lines = len(out.read_bytes().splitlines())
+        out.write_bytes(out.read_bytes()[:-20])
+        with pytest.raises(DomainError, match=f"line {lines}: malformed record"):
+            stats(load_records(str(out)))
+
     def test_malformed_line_names_its_number(self, tmp_path):
         out = tmp_path / "out.jsonl"
         scan_to_file(2, 9, str(out))
@@ -195,7 +217,7 @@ class TestScan:
         lines[4] = "{not json\n"
         out.write_text("".join(lines))
         for action in (lambda: scan_to_file(2, 9, str(out)),
-                       lambda: load_records(str(out))):
+                       lambda: list(load_records(str(out)))):
             with pytest.raises(DomainError, match="line 5"):
                 action()
 
@@ -257,7 +279,7 @@ class TestScanCsv:
             scan_to_file(2, 40, str(out), csv_path=str(csv))
             assert out.read_bytes() == data
             reread = tmp_path / f"{name}-reread.csv"
-            write_csv(load_records(str(out)), str(reread))
+            write_csv((rec for _, rec in load_records(str(out))), str(reread))
             assert csv.read_bytes() == reread.read_bytes()
 
     def test_error_rows_have_no_csv_row(self, tmp_path, monkeypatch):
@@ -274,7 +296,7 @@ class TestScanCsv:
         monkeypatch.setattr(db, "key_algebra", flaky)
         out, csv = tmp_path / "db.jsonl", tmp_path / "db.csv"
         scan_to_file(5, 9, str(out), csv_path=str(csv))
-        records = load_records(str(out))
+        records = list(load_records(str(out)))
         rows = csv.read_text().splitlines()
         assert len(rows) == len(records)  # the header, one error row less
         assert not any(row.startswith("7,2,") for row in rows)
@@ -420,9 +442,33 @@ class TestBatches:
             assert cells <= db.BATCH_CELLS or len(batch) == 1
 
 
+class Pool:
+    """A stub in place of the process pool: it records its size and runs
+    each submitted batch in this process, so no process starts."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        import concurrent.futures
+
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
 class TestJobs:
     """The pool has as many workers as the smallest of jobs, the CPUs this
-    process may use and the batches, since it starts them all at once."""
+    process may use and the batches, since it starts them all at once, and
+    at most two batches per worker are in flight."""
 
     @pytest.mark.parametrize("jobs, cpus, cells, size", [
         (100000, 3, 1 << 12, 3),  # the CPUs
@@ -434,30 +480,14 @@ class TestJobs:
         (100000, None, 1 << 12, 3),  # no affinity call: os.cpu_count() = 3
     ])
     def test_pool_size(self, jobs, cpus, cells, size, monkeypatch):
-        # a stub in place of the pool records its size and maps in this
-        # process, so no process starts
         import concurrent.futures
         import os
 
         import loewy.database as db
 
-        sizes = []
-
-        class Pool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
         want = list(scan_records(2, 60))
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(Pool, "sizes", [])
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         if cpus is None:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -466,16 +496,46 @@ class TestJobs:
                                 raising=False)
         monkeypatch.setattr(db, "BATCH_CELLS", cells)
         assert list(scan_records(2, 60, jobs=jobs)) == want
-        assert sizes == ([] if size is None else [size])
+        assert Pool.sizes == ([] if size is None else [size])
+
+    def test_batches_in_flight(self, monkeypatch):
+        # the keys drawn when the first record comes out: those of the
+        # first four batches, two per worker, and the key that ends the
+        # fourth; the whole range's keys would be drawn if every batch were
+        # submitted at once
+        import concurrent.futures
+        import os
+
+        import loewy.database as db
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(Pool, "sizes", [])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(db, "BATCH_CELLS", 1 << 8)
+        keys = list(scan_keys(2, 200))
+        batches = list(db._batches(keys))
+        drawn = 0
+
+        def counted():
+            nonlocal drawn
+            for key in keys:
+                drawn += 1
+                yield key
+
+        records = db.compute_records(counted(), jobs=2)
+        first = next(records)
+        assert drawn == sum(map(len, batches[:4])) + 1 < len(keys)
+        assert [first, *records] == list(db.compute_records(iter(keys)))
+        assert Pool.sizes == [2] and drawn == len(keys)
 
 
 class TestStats:
     def test_range_to_99(self, tmp_path):
         out = tmp_path / "db.jsonl"
         scan_to_file(2, 99, str(out))
-        records = load_records(str(out))
+        records = list(load_records(str(out)))
         summary = stats(records)
-        gap_records = [(r.key.q_rep, r.n, r.key.z) for r in records if r.gap > 0]
+        gap_records = [(r.key.q_rep, r.n, r.key.z) for _, r in records if r.gap > 0]
         assert gap_records == [(3, 12, 70), (5, 12, 91), (8, 12, 95)]
         assert summary["gap_positive"] == 3
         assert summary["gap_above_one"] == 0
@@ -490,10 +550,10 @@ class TestStats:
     def test_incomplete_refused(self, tmp_path):
         out = tmp_path / "db.jsonl"
         scan_to_file(2, 12, str(out))
-        records = load_records(str(out))
-        dropped = [r for r in records if not (r.key.z == 7 and r.key.q_rep == 2)]
+        dropped = [(number, r) for number, r in load_records(str(out))
+                   if not (r.key.z == 7 and r.key.q_rep == 2)]
         with pytest.raises(DomainError) as err:
-            check_complete(dropped)
+            stats(dropped)
         assert "z=7" in str(err.value)
 
     def test_capacity_failures_become_error_rows(self, tmp_path, monkeypatch):
@@ -510,17 +570,58 @@ class TestStats:
         monkeypatch.setattr(db, "key_algebra", flaky)
         out = tmp_path / "db.jsonl"
         db.scan_to_file(5, 9, str(out))
-        records = db.load_records(str(out))
-        errors = [r for r in records if isinstance(r, db.ErrorRecord)]
+        records = list(db.load_records(str(out)))
+        errors = [r for _, r in records if isinstance(r, db.ErrorRecord)]
         assert len(errors) == 1
         assert errors[0].key.z == 7 and "budget" in errors[0].error
         summary = db.stats(records)  # error row keeps the range complete
         assert summary["error_rows"] == 1
 
 
+def numbered(z_min, z_max):
+    """The (line number, record) pairs of a scan file of [z_min, z_max]."""
+    return list(enumerate(scan_records(z_min, z_max), start=1))
+
+
+class TestOnePass:
+    """`stats` and `isomorphism_screen` read a one-shot generator of
+    (line number, record) pairs, as `load_records` yields them, to the
+    results they give for the same pairs in a list."""
+
+    def test_generator_equals_list(self, tmp_path):
+        out = tmp_path / "db.jsonl"
+        scan_to_file(2, 40, str(out))
+        listed = list(load_records(str(out)))
+        assert listed == numbered(2, 40)
+        assert stats(load_records(str(out))) == stats(iter(listed)) == stats(listed)
+        for z in (12, 40):
+            assert (isomorphism_screen(load_records(str(out)), z)
+                    == isomorphism_screen(iter(listed), z)
+                    == isomorphism_screen(listed, z))
+
+
 class TestScreen:
+    @pytest.mark.parametrize("z, groups", [(40, [2]), (65, [2, 2, 8]), (117, [4, 2, 5])])
+    def test_one_kernel_call_per_group(self, z, groups, monkeypatch):
+        # each Loewy-vector group of several members makes one kernel call
+        # for all of them, which the table comparisons and the invariant
+        # reports share; a lone member makes none
+        import loewy.algebra
+
+        records = numbered(z, z)
+        real, calls = loewy.algebra.degrees_and_orbit_min, []
+
+        def counting(rows):
+            calls.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(loewy.algebra, "degrees_and_orbit_min", counting)
+        report = isomorphism_screen(records, z)
+        assert calls == [len(g["members"]) for g in report if len(g["members"]) > 1]
+        assert calls == groups
+
     def test_z40_split_by_square_dimension(self, tmp_path):
-        records = list(scan_records(40, 40))
+        records = numbered(40, 40)
         report = isomorphism_screen(records, 40)
         groups = {tuple(g["loewy_vector"]): g for g in report}
         target = groups[(1, 10, 19, 10, 1)]
@@ -529,7 +630,7 @@ class TestScreen:
         assert all("dim_U_p2" in c["distinguished_by"] for c in target["classes"])
 
     def test_z117_unresolved(self):
-        records = list(scan_records(117, 117))
+        records = numbered(117, 117)
         report = isomorphism_screen(records, 117)
         groups = {tuple(g["loewy_vector"]): g for g in report}
         target = groups[(1, 104, 12, 1)]
@@ -541,23 +642,23 @@ class TestScreen:
         assert by_members[((35, 6),)]["status"] == "unresolved"
 
     def test_singletons(self):
-        records = list(scan_records(5, 5))
+        records = numbered(5, 5)
         report = isomorphism_screen(records, 5)
         for group in report:
             if len(group["members"]) == 1:
                 assert group["classes"][0]["status"] == "singleton"
 
     def test_incomplete_rejected(self):
-        records = [compute_record(subgroup_representatives(40)[0])]
+        records = [(1, compute_record(subgroup_representatives(40)[0]))]
         with pytest.raises(DomainError):
             isomorphism_screen(records, 40)
 
     def test_error_row_rejected(self):
         # a key of z = 7 kept as its error row leaves the screen of z = 7
         # without a member; the screens of the other z are whole
-        records = list(scan_records(5, 9))
-        at = next(i for i, rec in enumerate(records) if rec.key.z == 7)
-        records[at] = ErrorRecord(records[at].key, "synthetic budget overrun")
+        records = numbered(5, 9)
+        at = next(i for i, (_, rec) in enumerate(records) if rec.key.z == 7)
+        records[at] = (at + 1, ErrorRecord(records[at][1].key, "synthetic budget overrun"))
         with pytest.raises(DomainError, match="z=7 hold an error row"):
             isomorphism_screen(records, 7)
-        assert isomorphism_screen(records, 8) == isomorphism_screen(scan_records(8, 8), 8)
+        assert isomorphism_screen(records, 8) == isomorphism_screen(numbered(8, 8), 8)
