@@ -42,7 +42,7 @@ way; `Algebra.loewy_profile` is a batch of one.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from math import gcd, lcm
@@ -135,23 +135,69 @@ class OrbitRow:
     degree: int
 
 
+def _digit_value(digits, q: int) -> int:
+    """The integer whose base-q digits, least significant first, are
+    `digits`: the low half's value plus q^h times the high half's, so n
+    digits cost O(M(n) log n) where Horner's rule is quadratic."""
+    h = len(digits) // 2
+    if h < 32:
+        value = 0
+        for d in reversed(digits):
+            value = value * q + d
+        return value
+    return _digit_value(digits[:h], q) + q**h * _digit_value(digits[h:], q)
+
+
 @dataclass(frozen=True)
 class Witness:
-    """A factorization of a basis monomial into radical basis monomials,
-    with full exponent vectors.  Verified on construction: indices sum to
-    the target, the vectors add digit-wise without overflow to the target's
-    vector, and every factor is admissible (its q-weighted value is a
-    multiple of e, checked exactly)."""
+    """A factorization of a basis monomial of A(q, n, e) into radical basis
+    monomials, with full exponent vectors.  Verified on construction, which
+    derives the factor and target indices: the parameters name an algebra,
+    every factor is admissible (its exact value is a nonzero multiple of e),
+    the vectors add digit-wise without overflow, and the target's index is
+    the sum of the factors'.  A failed check on parameters that exist is an
+    internal error: no code path may hand out an unverified factorization."""
 
     q: int
     n: int
     e: int
-    target_index: int
-    factor_indices: tuple[int, ...]
+    target_index: int = field(init=False)
+    factor_indices: tuple[int, ...] = field(init=False)
     factor_vectors: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        q, n, e = self.q, self.n, self.e
+        resolve_z(q, n, e=e)
+        vectors = tuple(map(tuple, self.factor_vectors))
+        if not vectors:
+            raise AssertionError("empty witness")
+        indices = []
+        for vec in vectors:
+            if len(vec) != n:
+                raise AssertionError("factor vector length mismatch")
+            if any(c < 0 or c >= q for c in vec):
+                raise AssertionError("factor exponent out of range")
+            idx, rem = divmod(_digit_value(vec, q), e)
+            if rem or idx == 0:
+                raise AssertionError("factor is not an admissible radical monomial")
+            indices.append(idx)
+        object.__setattr__(self, "factor_vectors", vectors)
+        product = self.product
+        if any(c > q - 1 for c in product):
+            raise AssertionError("digit-wise sum overflows q-1: zero product")
+        target_index, rem = divmod(_digit_value(product, q), e)
+        if rem or target_index != sum(indices):
+            raise AssertionError("index sum mismatch")
+        object.__setattr__(self, "factor_indices", tuple(indices))
+        object.__setattr__(self, "target_index", target_index)
 
     def __len__(self) -> int:
         return len(self.factor_indices)
+
+    @property
+    def product(self) -> tuple[int, ...]:
+        """The digit-wise sum of the factor vectors: the target's vector."""
+        return tuple(map(sum, zip(*self.factor_vectors)))
 
     def render(self) -> str:
         lines = []
@@ -163,44 +209,12 @@ class Witness:
 
 def verify_witness(q: int, n: int, e: int, factor_vectors, *,
                    target_vector=None) -> Witness:
-    """Check the witness invariants and return the verified Witness.
-
-    A failure here is an internal error: no code path may hand out an
-    unverified factorization.
-    """
-    if not factor_vectors:
-        raise AssertionError("empty witness")
-    vectors = tuple(tuple(v) for v in factor_vectors)
-    total = [0] * n
-    indices = []
-    for vec in vectors:
-        if len(vec) != n:
-            raise AssertionError("factor vector length mismatch")
-        if any(c < 0 or c >= q for c in vec):
-            raise AssertionError("factor exponent out of range")
-        value = sum(c * q**j for j, c in enumerate(vec))
-        idx, rem = divmod(value, e)
-        if rem or idx == 0:
-            raise AssertionError("factor is not an admissible radical monomial")
-        indices.append(idx)
-        for j, c in enumerate(vec):
-            total[j] += c
-    if any(c > q - 1 for c in total):
-        raise AssertionError("digit-wise sum overflows q-1: zero product")
-    if target_vector is not None and list(target_vector) != total:
+    """The verified Witness of the factor vectors, checked to multiply to
+    target_vector when one is given."""
+    w = Witness(q, n, e, factor_vectors)
+    if target_vector is not None and tuple(target_vector) != w.product:
         raise AssertionError("witness does not multiply to the target")
-    target_value = sum(c * q**j for j, c in enumerate(total))
-    target_index, rem = divmod(target_value, e)
-    if rem:
-        raise AssertionError("target is not admissible")
-    if target_index != sum(indices):
-        raise AssertionError("index sum mismatch")
-    return Witness(
-        q=q, n=n, e=e,
-        target_index=target_index,
-        factor_indices=tuple(indices),
-        factor_vectors=vectors,
-    )
+    return w
 
 
 class Algebra:
@@ -597,33 +611,25 @@ def transport_witness(w: Witness, target_q: int) -> Witness:
     e, n = w.e, w.n
     if target_q < 2:
         raise DomainError(f"target q must be >= 2, got {target_q}")
-    target_vec = [0] * n
-    for vec in w.factor_vectors:
-        for j, c in enumerate(vec):
-            target_vec[j] += c
-    a = target_vec[0]
-    if any(c != a for c in target_vec):
+    a, *rest = w.product
+    if any(c != a for c in rest):
         raise DomainError("transport needs a uniform-exponent target monomial")
     if not 1 <= a < min(w.q, target_q):
         raise DomainError(f"exponent {a} must be below min(q, Q)")
-    # q^n = Q^n = 1 bounds both cycles by n; then pi(t) is the exponent
-    # with Q^t = q^pi(t) (mod e).
-    if pow(w.q, n, e) != 1 % e or pow(target_q, n, e) != 1 % e:
+    # Q = q^s0 generates <q> iff gcd(s0, ord) = 1; then Q^t = q^pi(t) with
+    # pi(t) = t*s0 mod ord, and ord divides n
+    powers = cyclic_powers(w.q, e)
+    s0 = {r: s for s, r in enumerate(powers)}.get(target_q % e)
+    if s0 is None or gcd(s0, len(powers)) != 1:
         raise DomainError("parameters do not generate the same subgroup mod e")
-    source = cyclic_powers(w.q, e)
-    target = cyclic_powers(target_q, e)
-    if set(source) != set(target):
-        raise DomainError("parameters do not generate the same subgroup mod e")
-    position = {r: s for s, r in enumerate(source)}
-    pi = [position[target[t % len(target)]] for t in range(n)]
-    new_vectors = [tuple(vec[pi[t]] for t in range(n)) for vec in w.factor_vectors]
-    return verify_witness(target_q, n, e, new_vectors)
+    pi = [t * s0 % len(powers) for t in range(n)]
+    return Witness(target_q, n, e, [tuple(vec[p] for p in pi) for vec in w.factor_vectors])
 
 
 def degree_m_vector(q: int, n: int, e: int) -> tuple[list[int], int]:
     """An admissible exponent vector of minimal degree m for A(q, n, e),
     read off the digit expansion of the minimizing multiple of e."""
-    z = (q**n - 1) // e
+    z = resolve_z(q, n, e=e)
     res = m_via_z(q, n, z)
     return exponent_digits(q, n, z, res.k_min or z), res.m
 
@@ -639,11 +645,7 @@ def shift_witness(w: Witness, l: int) -> Witness:
     if l == 0:
         return w
     q, n, e = w.q, w.n, w.e
-    total = [0] * n
-    for vec in w.factor_vectors:
-        for j, c in enumerate(vec):
-            total[j] += c
-    if any(c != q - 1 for c in total):
+    if any(c != q - 1 for c in w.product):
         raise DomainError("shift needs a witness for the all-(q-1) monomial")
     base, m = degree_m_vector(q, n, e)
     if l % lcm(e, m):
@@ -651,11 +653,11 @@ def shift_witness(w: Witness, l: int) -> Witness:
     if (n * l) % m:
         raise AssertionError("n*l/m is not integral")
     reps = l // m  # each of the n cyclic shifts used l/m times
-    vectors = [tuple(vec) for vec in w.factor_vectors]
+    vectors = list(w.factor_vectors)
     for shift in range(n):
         vec = tuple(base[(j - shift) % n] for j in range(n))
         vectors.extend([vec] * reps)
-    return verify_witness(q + l, n, e, vectors)
+    return Witness(q + l, n, e, vectors)
 
 
 def concat_witness(w1: Witness, w2: Witness) -> Witness:
@@ -665,13 +667,9 @@ def concat_witness(w1: Witness, w2: Witness) -> Witness:
         raise DomainError("witnesses have different q")
     if w1.e != w2.e:
         raise DomainError("witnesses have different e")
-    if w1.n < 1 or w2.n < 1:
-        raise DomainError("empty variable block")
-    q, e = w1.q, w1.e
-    n = w1.n + w2.n
-    vectors = [tuple(vec) + (0,) * w2.n for vec in w1.factor_vectors]
-    vectors += [(0,) * w1.n + tuple(vec) for vec in w2.factor_vectors]
-    return verify_witness(q, n, e, vectors)
+    vectors = [vec + (0,) * w2.n for vec in w1.factor_vectors]
+    vectors += [(0,) * w1.n + vec for vec in w2.factor_vectors]
+    return Witness(w1.q, w1.n + w2.n, w1.e, vectors)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations_with_replacement
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -645,18 +645,10 @@ def small_e_candidates(n: int, m_max: int, *, keep_unfiltered: bool = False):
         raise DomainError(f"m_max must satisfy 1 <= m_max < n, got {m_max}")
     phi_n = [Fraction(1)] * n  # 1 + X + ... + X^(n-1)
 
-    def tuples(m):
-        def rec(prefix, lo):
-            if len(prefix) == m:
-                yield tuple(prefix)
-                return
-            for i in range(lo, n - 1):
-                yield from rec(prefix + [i], i)
-        yield from rec([0], 0)
-
     candidates: dict[int, set[int]] = {m: set() for m in range(1, m_max + 1)}
     for m in range(1, m_max + 1):
-        for tup in tuples(m):
+        for rest in combinations_with_replacement(range(n - 1), m - 1):
+            tup = (0, *rest)
             g = [Fraction(0)] * (max(tup) + 1)
             for i in tup:
                 g[i] += 1

@@ -6,8 +6,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    digit_value,
     exact_exponent_vector,
     positionwise_product,
     quadratic_loewy_layers,
@@ -17,6 +20,7 @@ from conftest import (
 from loewy import algebra, mfunc
 from loewy.algebra import (
     Algebra,
+    Witness,
     concat_witness,
     loewy_profiles,
     same_table,
@@ -191,6 +195,31 @@ class TestWitnesses:
     def test_verify_rejects_overflow(self):
         with pytest.raises(AssertionError):
             verify_witness(2, 3, 1, [(1, 1, 0), (1, 0, 0)])
+
+    def test_constructor_verifies(self):
+        # the one construction path checks the factors, not only verify_witness
+        with pytest.raises(AssertionError):
+            Witness(2, 3, 1, ((1, 1, 0), (1, 0, 0)))
+        w = Witness(2, 3, 1, [[1, 0, 0], [0, 1, 0]])
+        assert (w.factor_indices, w.target_index, w.product) == ((1, 2), 3, (1, 1, 0))
+
+    def test_rejects_a_modulus_that_does_not_divide(self):
+        # 5 does not divide 2^3 - 1 = 7: A(2, 3, 5) does not exist
+        with pytest.raises(DomainError, match=r"q=2, n=3"):
+            verify_witness(2, 3, 5, [(1, 0, 1)])
+
+    @given(st.integers(2, 2**70), st.lists(st.integers(0, 2**70), max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_digit_value_matches_horner(self, q, digits):
+        digits = [d % q for d in digits]
+        assert algebra._digit_value(digits, q) == digit_value(digits, q)
+
+    def test_wide_witness_in_seconds(self):
+        # a power per digit, as Horner's rule, is quadratic in n: about 20 s at this n
+        start = time.perf_counter()
+        w = Algebra(2, 100000, 1).witness(1)
+        assert time.perf_counter() - start < 5
+        assert w.factor_indices == (1,) and w.product == (1,) * 100000
 
 
 class TestTransport:
