@@ -204,10 +204,10 @@ def _record(key: EquivKey, alg: Algebra, e_decimal: str) -> DbRecord:
                     ",".join(map(str, vector)))
 
 
-def compute_record(key: EquivKey) -> DbRecord | ErrorRecord:
-    """The record of one key, computed as a scan computes it: a key past
-    a capacity gives its error row."""
-    return compute_batch([key])[0]
+def compute_record(key: EquivKey) -> DbRecord:
+    """The record of one key, its profile computed alone."""
+    alg = key_algebra(key)
+    return _record(key, alg, format_decimal(alg.e()))
 
 
 def scan_keys(z_min: int, z_max: int):
