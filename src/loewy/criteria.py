@@ -167,34 +167,29 @@ def _r9(p: Parameters):
 
 
 def _r10(p: Parameters):
-    # q^k and q^2k mod e, each stepped by one multiplication per k: squaring
-    # q^k instead costs a full-size product and division at every k
-    e = p.e
-    q1, q2 = p.q % e, p.q * p.q % e
-    qk = q2k = 1
-    for k in range(1, p.nu + 1):
-        qk, q2k = qk * q1 % e, q2k * q2 % e
-        if (qk + 1) % e == 0:
+    # Only k = 1, nu/3 and nu/2 can fire first.  For e > 3, q^k = -1 forces
+    # k = nu/2, and a root q^k of x^2+x+1 has order 3, so k = nu/3 (2nu/3
+    # fires only after nu/3 has); e <= 3 fires at k = 1.
+    for k in sorted({1} | {p.nu // d for d in (3, 2) if p.nu % d == 0}):
+        qk = pow(p.q, k, p.e)
+        if (qk + 1) % p.e == 0:
             return CriterionVerdict("R10", "bound_attained", None,
                                     f"e | q^{k}+1")
-        if (q2k + qk + 1) % e == 0:
+        if (qk * qk + qk + 1) % p.e == 0:
             return CriterionVerdict("R10", "bound_attained", None,
                                     f"e | q^{2 * k}+q^{k}+1")
     return None
 
 
 def _r11(p: Parameters):
-    e = p.e
     for r in range(1, p.n + 1):
         if p.n % r or (p.n // r) % p.m:
             continue
         a = p.n // (p.m * r)
-        # q^(a i) mod e, stepped by one multiplication per i
-        qa, term, total = pow(p.q, a, e), 1, 0
-        for _ in range(p.m):
-            total += term
-            term = term * qa % e
-        if total % e == 0:
+        # e | sum of q^(a i), i < m, = (q^(am)-1)/(q^a-1) exactly when
+        # q^(am) = 1 modulo e(q^a-1); am = n/r
+        modulus = p.e * (p.q**a - 1)
+        if pow(p.q, p.n // r, modulus) == 1 % modulus:
             return CriterionVerdict(
                 "R11", "bound_attained", None,
                 f"m={p.m} | n/r with r={r} and e | sum of q^({a}i)",

@@ -421,7 +421,8 @@ def stats(numbered) -> dict:
             errors += 1
             continue
         gaps[rec.gap] += 1
-        vectors.add(rec.loewy_vector)
+        # as decimal text: about a third of a tuple of ints, and exact
+        vectors.add(",".join(map(str, rec.loewy_vector)))
         ll_three += rec.ll == 3
         spikes += rec.flags["spike_vector"]
         if first_gap is None and rec.gap > 0:

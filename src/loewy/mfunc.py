@@ -21,9 +21,8 @@ that layout, so a scan batch costs one call instead of one per key.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple
 
 import numpy as np
@@ -579,63 +578,29 @@ def m_functional_equation(q: int, n: int, n_prime: int, e_prime: int) -> int:
 # admitting m(q, e) = m < n.
 # ---------------------------------------------------------------------------
 
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _candidate_constant(n: int, exponents) -> int:
+    """For prime n and g = sum of X^i over the exponents: the least positive
+    integer d in the ideal (Phi_n, g) of Z[X], which is the ideal (g(zeta))
+    of Z[zeta_n].  With h = prod over 2 <= a < n of g(X^a), it holds the
+    norm N = g(zeta)h(zeta), and d = N / gcd(N, C) for C the content of
+    h(zeta) in the basis 1, zeta, ..., zeta^(n-2).  The products run in
+    Z[X]/(X^n - 1), where zeta^(n-1) = -(1 + ... + zeta^(n-2))."""
+    h = [1] + [0] * (n - 1)
+    for a in range(2, n):
+        h = [sum(h[(k - a * i) % n] for i in exponents) for k in range(n)]
+    gh = [sum(h[(k - i) % n] for i in exponents) for k in range(n)]
+    norm = abs(gh[0] - gh[n - 1])
+    if not norm:
+        raise AssertionError("g(zeta) = 0: g is not prime to Phi_n")
+    return norm // gcd(norm, *(c - h[n - 1] for c in h[:n - 1]))
 
 
-def _poly_divmod(a, b):
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
-    quot = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        coeff = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        quot[shift] = coeff
-        for i, bc in enumerate(b):
-            a[shift + i] -= coeff * bc
-        _poly_trim(a)
-    return quot, a
-
-
-def _poly_sub_mul(u0, u1, q):
-    """u0 - q*u1 for coefficient lists (LSB first)."""
-    out = list(u0) + [Fraction(0)] * max(0, len(q) + len(u1) - 1 - len(u0))
-    for i, qc in enumerate(q):
-        if qc == 0:
-            continue
-        for j, uc in enumerate(u1):
-            out[i + j] -= qc * uc
-    return _poly_trim(out)
-
-
-def _poly_bezout_constant(f, g):
-    """For coprime f, g over Q: the denominator-clearing constant d such
-    that d*a(X), d*b(X) are integral in a(X)f + b(X)g = 1."""
-    r0, r1 = _poly_trim(list(f)), _poly_trim(list(g))
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        quot, rem = _poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _poly_sub_mul(s0, s1, quot)
-        t0, t1 = t1, _poly_sub_mul(t0, t1, quot)
-    if len(r0) != 1:
-        raise AssertionError("polynomials were not coprime")
-    c = r0[0]
-    d = 1
-    for x in s0 + t0:
-        d = lcm(d, (x / c).denominator)
-    return d
-
-
-def small_e_candidates(n: int, m_max: int, *, keep_unfiltered: bool = False):
+def small_e_candidates(n: int, m_max: int) -> dict[int, set[int]]:
     """For prime n: which e with e | Phi_n(q) can have m(q, e) = m < n.
 
-    Enumerates exponent tuples 0 = i_1 <= ... <= i_m <= n-2, clears the
-    Bezout identity of 1 + X + ... + X^(n-1) and X^{i_1} + ... + X^{i_m} to
-    an integer d, and keeps the divisors e of d that survive the parity /
+    Enumerates exponent tuples 0 = i_1 <= ... <= i_m <= n-2, takes the
+    least positive integer d in the ideal of Phi_n and X^{i_1} + ... +
+    X^{i_m}, and keeps the divisors e of d that survive the parity /
     3-divisibility / phi-divisibility filters; finally each e stays listed
     under m only if some unit q of order n modulo e has m(q, e) = m.
     """
@@ -643,17 +608,11 @@ def small_e_candidates(n: int, m_max: int, *, keep_unfiltered: bool = False):
         raise DomainError(f"n must be prime, got {n}")
     if not 1 <= m_max < n:
         raise DomainError(f"m_max must satisfy 1 <= m_max < n, got {m_max}")
-    phi_n = [Fraction(1)] * n  # 1 + X + ... + X^(n-1)
-
-    candidates: dict[int, set[int]] = {m: set() for m in range(1, m_max + 1)}
+    result: dict[int, set[int]] = {}
     for m in range(1, m_max + 1):
+        candidates = set()
         for rest in combinations_with_replacement(range(n - 1), m - 1):
-            tup = (0, *rest)
-            g = [Fraction(0)] * (max(tup) + 1)
-            for i in tup:
-                g[i] += 1
-            d = _poly_bezout_constant(phi_n, g)
-            for e in divisors(d):
+            for e in divisors(_candidate_constant(n, (0, *rest))):
                 if e == 1:
                     continue
                 if n % 2 and e % 2 == 0:
@@ -662,12 +621,8 @@ def small_e_candidates(n: int, m_max: int, *, keep_unfiltered: bool = False):
                     continue
                 if euler_phi(e) % n:
                     continue
-                candidates[m].add(e)
-    if keep_unfiltered:
-        return candidates
-    result: dict[int, set[int]] = {}
-    for m, es in candidates.items():
-        kept = {e for e in es if _m_achievable(e, n, m)}
+                candidates.add(e)
+        kept = {e for e in candidates if _m_achievable(e, n, m)}
         if kept:
             result[m] = kept
     return result

@@ -3,7 +3,8 @@ the tests compare the package against.  None of them is part of `loewy`."""
 
 import json
 import sys
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -90,6 +91,61 @@ def m_groups_per_unit(e: int) -> dict[int, list[int]]:
         if q % e != 1 and gcd(q, e) == 1:
             groups.setdefault(m_value(q, e).m, []).append(q)
     return {m: sorted(v) for m, v in sorted(groups.items())}
+
+
+def _poly_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_divmod(a, b):
+    a = _poly_trim(list(a))
+    b = _poly_trim(list(b))
+    quot = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        coeff = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        quot[shift] = coeff
+        for i, bc in enumerate(b):
+            a[shift + i] -= coeff * bc
+        _poly_trim(a)
+    return quot, a
+
+
+def _poly_sub_mul(u0, u1, q):
+    """u0 - q*u1 for coefficient lists (LSB first)."""
+    out = list(u0) + [Fraction(0)] * max(0, len(q) + len(u1) - 1 - len(u0))
+    for i, qc in enumerate(q):
+        if qc == 0:
+            continue
+        for j, uc in enumerate(u1):
+            out[i + j] -= qc * uc
+    return _poly_trim(out)
+
+
+def bezout_constant(n: int, exponents) -> int:
+    """Oracle for `mfunc._candidate_constant`: the extended Euclid over Q on
+    f = 1 + X + ... + X^(n-1) and g = sum of X^i over the exponents, and
+    the least d that makes d*a(X) and d*b(X) integral in a f + b g = 1."""
+    g = [Fraction(0)] * (max(exponents) + 1)
+    for i in exponents:
+        g[i] += 1
+    r0, r1 = [Fraction(1)] * n, _poly_trim(g)
+    s0, s1 = [Fraction(1)], []
+    t0, t1 = [], [Fraction(1)]
+    while r1:
+        quot, rem = _poly_divmod(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _poly_sub_mul(s0, s1, quot)
+        t0, t1 = t1, _poly_sub_mul(t0, t1, quot)
+    if len(r0) != 1:
+        raise AssertionError("polynomials were not coprime")
+    c = r0[0]
+    d = 1
+    for x in s0 + t0:
+        d = lcm(d, (x / c).denominator)
+    return d
 
 
 def json_line_oracle(record) -> str:

@@ -210,8 +210,9 @@ class TestResolution:
                 in out.splitlines())
 
     def test_criteria_steps_powers_of_q(self, capsys):
-        # nu = 30000 steps of R10 over a 9000-digit e; squaring q^k mod e
-        # at every step took 18.6 s on a 2-vCPU machine
+        # nu = 30000 over a 9000-digit e: R10 takes one power of q for each
+        # of k = 1, nu/3 and nu/2; squaring q^k mod e at each of the 30000
+        # steps took 18.6 s on a 2-vCPU machine
         start = time.perf_counter()
         code, out, err = run_cli(["criteria", "--q", "2", "--n", "30000",
                                   "--z", "257"], capsys)
@@ -219,6 +220,23 @@ class TestResolution:
         assert code == 0 and err == ""
         assert out.splitlines()[1:] == [
             f"R6 ll_equals(3) :: q^(n/2)-1 = {E_15000} | e | q^n-1, e proper"]
+
+    def test_criteria_full_width_e(self, capsys):
+        # e = 2^300000 - 1 and m = nu = n: stepping R10's nu powers and
+        # R11's m-term sum took 9.1 s on a 2-vCPU machine
+        start = time.perf_counter()
+        code, out, err = run_cli(["criteria", "--q", "2", "--n", "300000",
+                                  "--z", "1"], capsys)
+        assert time.perf_counter() - start < 3
+        assert code == 0 and err == ""
+        assert out.splitlines()[1:] == [
+            "R11 bound_attained :: m=300000 | n/r with r=1 and e | sum of q^(1i)",
+            "R12 bound_attained :: e | (q^n-1)/(q-1) and n-m=0 | floor((n-m)(q-1)/m)",
+            "R14 bound_attained :: q-1 = 0*m + 1 with r < m/nu + m/n "
+            "(m=300000, nu=300000, n=300000)",
+            "R15 bound_attained :: q'=2 = q (mod m) has floor(n(q'-1)/m) = 1",
+            "R20 uniserial :: q = 1 (mod z=1)",
+        ]
 
     def test_e_beyond_4300_digits(self, capsys):
         lines = []

@@ -143,7 +143,7 @@ class TestSpecificRules:
         assert verdicts["R20"].kind == "uniserial"
 
     def test_r10_matches_powers(self):
-        # R10 steps q^k and q^2k mod e; the rule reads the powers afresh
+        # R10 tests k = 1, nu/3 and nu/2 only; this tries every k <= nu
         fired = 0
         for e in range(1, 120):
             for q in range(2, 40):
@@ -165,7 +165,7 @@ class TestSpecificRules:
         assert fired > 100
 
     def test_r11_matches_powers(self):
-        # R11 steps q^(a i) mod e; the rule reads the powers afresh
+        # R11 takes one power modulo e(q^a - 1); this sums the m terms
         fired = 0
         for e in range(1, 120):
             for q in range(2, 40):

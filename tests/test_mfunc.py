@@ -2,11 +2,12 @@ import time
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
 
-from conftest import m_digit_scan, m_groups_per_unit
+from conftest import bezout_constant, m_digit_scan, m_groups_per_unit
 from loewy import arith, mfunc
 from loewy.arith import cyclic_powers
 from loewy.errors import CapacityError, DomainError
@@ -339,14 +340,36 @@ class TestSmallECandidates:
         assert result[3] == {11}
         assert result[4] == {61}
 
-    def test_degree_five_unfiltered(self):
-        raw = small_e_candidates(5, 4, keep_unfiltered=True)
-        assert raw[3] == {11}
-        assert raw[4] == {11, 61}  # 11 is dropped by the order filter
+    def test_degree_five_order_filter(self):
+        # 11 divides the constant of a 4-tuple, but no q of order 5 modulo 11
+        # has m(q, 11) = 4, so 11 is listed under m = 3 only
+        assert any(mfunc._candidate_constant(5, (0, *rest)) % 11 == 0
+                   for rest in combinations_with_replacement(range(4), 3))
+        assert not mfunc._m_achievable(11, 5, 4)
 
     def test_degree_seven(self):
         result = small_e_candidates(7, 3)
         assert result[3] == {43}
+
+    def test_degree_seven_to_m_six(self):
+        assert small_e_candidates(7, 6) == {
+            3: {43}, 4: {29, 71, 547}, 5: {113, 197, 421, 463, 3277},
+            6: {211, 379, 449, 757, 2689, 3053, 13021}}
+
+    def test_degree_eleven(self):
+        assert small_e_candidates(11, 4) == {
+            3: {23, 683}, 4: {67, 89, 419, 661, 991, 1541, 44287}}
+
+    def test_constant_matches_bezout(self):
+        # the norm in Z[zeta_n] against the extended Euclid over Q
+        checked = 0
+        for n, m_max in ((3, 2), (5, 4), (7, 6), (11, 4)):
+            for m in range(1, m_max + 1):
+                for rest in combinations_with_replacement(range(n - 1), m - 1):
+                    tup = (0, *rest)
+                    assert mfunc._candidate_constant(n, tup) == bezout_constant(n, tup), (n, tup)
+                    checked += 1
+        assert checked == 3 + 35 + 462 + 286
 
     def test_rejects_composite_degree(self):
         with pytest.raises(DomainError):
